@@ -1,7 +1,7 @@
 """Learning the viscous Burgers flow map with polynomial operators.
 
 A reduced configuration of the nonlinear benchmark (fewer modes and a small
-hyperbolic cross) that runs in about a minute: data from the IMEX
+hyperbolic cross) that runs in well under a minute: data from the IMEX
 pseudospectral solver, optimal sampling at the undersampled rate
 M = ceil(N_eff log N_eff), relative test error per viscosity.
 """
@@ -49,10 +49,11 @@ for nu in (0.1, 0.01):
     system = assemble(basis, ds.inputs, ds.weights, ds.outputs)
     estimate = solve(system, basis)
     test_x, _ = sample_monte_carlo(measure, RngSeed(2), 100, tables=tables)
-    truth = build_dataset(test_x, np.ones(100), "burgers",
-                          burgers_config=config, d_out=d_out).outputs
-    report = empirical_bochner_error(truth, estimate.predict(test_x))
-    lost = energy_fraction_lost(truth, d_out)
+    # all d_solve modes, so the energy that truncation to d_out drops shows
+    solved = build_dataset(test_x, np.ones(100), "burgers",
+                           burgers_config=config).outputs
+    report = empirical_bochner_error(solved[:, :d_out], estimate.predict(test_x))
+    lost = energy_fraction_lost(solved, d_out)
     print(f"nu = {nu:5.2f}: cond(G) = {gram_diagnostics(system).condition:6.2f}, "
           f"relative test error {report.relative:.3e} "
           f"(rmse {math.sqrt(report.relative):.3e})")

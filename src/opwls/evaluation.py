@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator_basis import LinearRankOneBasis
+from .pde import sine_value_1d
 from .wls import OperatorEstimate
 
 __all__ = [
@@ -182,8 +183,10 @@ def empirical_bochner_error(
 def energy_fraction_lost(outputs: np.ndarray, d_keep: int) -> float:
     """Fraction of empirical output energy beyond the first ``d_keep`` modes.
 
-    ``1 - sum_{j < d_keep} E|ghat_j|^2 / E||ghat||^2``; zero by convention
-    when the outputs vanish entirely.
+    ``sum_{j >= d_keep} E|ghat_j|^2 / E||ghat||^2``; zero by convention
+    when the outputs vanish entirely.  The discarded tail is summed directly,
+    because ``1 - kept / total`` cancels to 0 once the tail falls below the
+    roundoff of the total.
     """
     outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
     if not 0 <= d_keep <= outputs.shape[1]:
@@ -191,8 +194,8 @@ def energy_fraction_lost(outputs: np.ndarray, d_keep: int) -> float:
     total = float(np.mean(np.sum(outputs**2, axis=1)))
     if total == 0.0:
         return 0.0
-    kept = float(np.mean(np.sum(outputs[:, :d_keep] ** 2, axis=1)))
-    return 1.0 - kept / total
+    lost = float(np.mean(np.sum(outputs[:, d_keep:] ** 2, axis=1)))
+    return lost / total
 
 
 def _require_linear(estimate: OperatorEstimate) -> LinearRankOneBasis:
@@ -220,14 +223,9 @@ def reconstruct_kernel(
     y = np.atleast_1d(np.asarray(y, dtype=float))
     input_modes = basis.input_modes + 1
     output_modes = np.arange(1, estimate.d_out + 1)
-    xi = sqrt2_sines(input_modes, x) / basis.sigmas[:, None]
-    psi = sqrt2_sines(output_modes, y)
+    xi = sine_value_1d(input_modes, x) / basis.sigmas[:, None]
+    psi = sine_value_1d(output_modes, y)
     return xi.T @ estimate.coefficients @ psi
-
-
-def sqrt2_sines(modes: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows of ``sqrt(2) sin(n pi t)`` per mode ``n``."""
-    return math.sqrt(2.0) * np.sin(np.multiply.outer(modes.astype(float), np.pi * t))
 
 
 def operator_matrix_view(estimate: OperatorEstimate) -> np.ndarray:

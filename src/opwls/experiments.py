@@ -23,12 +23,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from numbers import Integral, Real
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .evaluation import (
@@ -48,6 +52,7 @@ from .pde import (
     build_dataset,
     greens_kernel,
     sine_modes_2d,
+    solver_threads,
 )
 from .sampling import (
     DiscreteFeatureBasis,
@@ -85,6 +90,10 @@ EXPERIMENTS = (
 )
 SAMPLERS = ("optimal", "monte_carlo")
 FLOAT_FMT = "%.15g"
+
+
+# JSON numbers arrive as int or float, config code may pass numpy scalars
+_NUMBER_KINDS = {int: Integral, float: Real}
 
 
 class ConfigError(ValueError):
@@ -140,6 +149,19 @@ class ExperimentConfig:
         return hashlib.sha256(text).hexdigest()[:16]
 
     def validate(self) -> None:
+        """Check field types and every per-experiment range.
+
+        Runs before anything is written, so a config that fails here leaves
+        no files behind.
+        """
+        for name, hint in get_type_hints(type(self)).items():
+            kinds = tuple(_NUMBER_KINDS.get(k, k) for k in get_args(hint) or (hint,))
+            value = getattr(self, name)
+            # bool is an Integral, but true/false is never a count
+            if not isinstance(value, kinds) or (
+                isinstance(value, bool) and bool not in kinds
+            ):
+                raise ConfigError(f"{name} has the wrong type: {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.sampling not in ("optimal", "monte_carlo", "both"):
@@ -150,10 +172,39 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.n_test < 1:
             raise ConfigError("n_test must be >= 1")
+        if self.d_out is not None and self.d_out < 1:
+            raise ConfigError("d_out must be >= 1")
+        if self.cloud_size < 1:
+            raise ConfigError("cloud_size must be >= 1")
         if not self.sweep:
             raise ConfigError("sweep must be a non-empty list")
+        # N_eff sweeps count modes; radius sweeps may be fractional
+        entry = Real if self.experiment in ("burgers", "discrete_demo") else Integral
+        for value in self.sweep:
+            if isinstance(value, bool) or not isinstance(value, entry) or value <= 0:
+                raise ConfigError(f"sweep entry {value!r} is not a positive size")
         if self.mode_order not in ("row", "column"):
             raise ConfigError("mode_order must be 'row' or 'column'")
+        try:
+            measure, modes = build_measure(self)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid measure {self.measure!r}: {exc}") from exc
+        d_in = len(measure)
+        if self.experiment == "poisson2d" and modes is None:
+            raise ConfigError("poisson2d needs the l1_cubed measure rule")
+        if self.experiment in ("poisson2d", "poisson1d_kernel"):
+            for n_eff in self.sweep:
+                if n_eff > d_in:
+                    raise ConfigError(
+                        f"N_eff={n_eff} exceeds the {d_in} available modes"
+                    )
+        if self.experiment in ("burgers", "discrete_demo"):
+            build_gamma(self, d_in)
+        if self.experiment == "burgers":
+            try:
+                burgers_solver(self, d_in)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid solver {self.solver!r}: {exc}") from exc
 
     def samplers(self) -> tuple[str, ...]:
         return SAMPLERS if self.sampling == "both" else (self.sampling,)
@@ -288,6 +339,18 @@ def build_gamma(config: ExperimentConfig, d_in: int) -> np.ndarray:
     raise ConfigError(f"unknown gamma rule {rule!r}")
 
 
+def burgers_solver(config: ExperimentConfig, d_in: int) -> BurgersConfig:
+    return BurgersConfig.create(
+        viscosity=float(config.solver.get("viscosity", 0.1)),
+        final_time=float(config.solver.get("final_time", 0.2)),
+        d_in=d_in,
+        d_out=config.d_out or 48,
+        dt=config.solver.get("dt"),
+        d_solve=config.solver.get("d_solve"),
+        grid_size=config.solver.get("grid_size"),
+    )
+
+
 # --------------------------------------------------------------------------
 # artifact writing
 
@@ -400,8 +463,6 @@ def write_error_reports(out: Path, records: list[dict]) -> None:
 
 def _run_poisson2d(config: ExperimentConfig, out: Path) -> list[list]:
     measure, modes = build_measure(config)
-    if modes is None:
-        raise ConfigError("poisson2d needs the l1_cubed measure rule")
     d_in = len(measure)
     d_out = config.d_out or d_in
     cfg_hash = config.content_hash()
@@ -411,8 +472,6 @@ def _run_poisson2d(config: ExperimentConfig, out: Path) -> list[list]:
     coeffs_dir.mkdir(parents=True, exist_ok=True)
     for n_eff in config.sweep:
         n_eff = int(n_eff)
-        if n_eff > d_in:
-            raise ConfigError(f"N_eff={n_eff} exceeds the {d_in} available modes")
         basis = LinearRankOneBasis.from_measure(measure, np.arange(n_eff), d_out)
         tables = build_induced_tables(measure, basis)
         plan = mixture_plan(basis)
@@ -540,16 +599,8 @@ def _run_poisson1d_kernel(config: ExperimentConfig, out: Path) -> list[list]:
 def _run_burgers(config: ExperimentConfig, out: Path) -> list[list]:
     measure, _ = build_measure(config)
     d_in = len(measure)
-    d_out = config.d_out or 48
-    solver = BurgersConfig.create(
-        viscosity=float(config.solver.get("viscosity", 0.1)),
-        final_time=float(config.solver.get("final_time", 0.2)),
-        d_in=d_in,
-        d_out=d_out,
-        dt=config.solver.get("dt"),
-        d_solve=config.solver.get("d_solve"),
-        grid_size=config.solver.get("grid_size"),
-    )
+    solver = burgers_solver(config, d_in)
+    d_out = solver.d_out
     gamma = build_gamma(config, d_in)
     cap = int(config.index_set.get("degree_cap", 10))
     cfg_hash = config.content_hash()
@@ -571,16 +622,22 @@ def _run_burgers(config: ExperimentConfig, out: Path) -> list[list]:
         test_x, _ = sample_monte_carlo(
             measure, RngSeed(test_seed), config.n_test, tables=tables
         )
-        test_key = dataset_key("burgers", [cfg_hash, k], "test", test_seed, config.n_test)
+        # the test set keeps all d_solve solver modes, so the energy that
+        # truncation to d_out discards can be measured; d_solve is in the key
+        # so that a test set cached with only d_out columns is never reused
+        test_key = dataset_key(
+            "burgers", [cfg_hash, k, solver.d_solve], "test", test_seed, config.n_test
+        )
         test_ds = load_dataset(out / "dataset", test_key)
         if test_ds is None:
             test_ds = build_dataset(
                 test_x, np.ones(config.n_test), "burgers",
-                burgers_config=solver, d_out=d_out, seed=test_seed,
-                sampler="monte_carlo",
+                burgers_config=solver, seed=test_seed, sampler="monte_carlo",
             )
             if config.write_datasets:
                 save_dataset(test_ds, out / "dataset", test_key)
+        truth = test_ds.outputs[:, :d_out]
+        lost = energy_fraction_lost(test_ds.outputs, d_out)
         for sampler in config.samplers():
             for trial in range(config.trials):
                 seed = derive_seed(config.seed, "train", k, sampler, trial)
@@ -597,10 +654,7 @@ def _run_burgers(config: ExperimentConfig, out: Path) -> list[list]:
                     if config.write_datasets:
                         save_dataset(ds, out / "dataset", key)
                 estimate, summary = fit_once(basis, ds.inputs, ds.weights, ds.outputs)
-                report = empirical_bochner_error(
-                    test_ds.outputs, estimate.predict(test_x)
-                )
-                lost = energy_fraction_lost(test_ds.outputs, d_out)
+                report = empirical_bochner_error(truth, estimate.predict(test_x))
                 rows.append(
                     [k, n_eff, sampler, trial, m, summary.condition,
                      summary.spectral_gap, report.absolute,
@@ -796,6 +850,13 @@ def run(config: ExperimentConfig) -> RunResult:
         "package_version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "results_rows": len(rows),
+        # timings depend on these; result rows do not
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "burgers_threads": solver_threads(),
+        },
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

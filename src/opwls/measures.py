@@ -217,8 +217,7 @@ class QuadratureRule:
     order: int
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
-        values = np.asarray(values, dtype=float)
-        return values @ self.weights if values.ndim == 1 else values @ self.weights
+        return np.asarray(values, dtype=float) @ self.weights
 
     def moment(self, r: int) -> float:
         return float(self.weights @ self.nodes**r)

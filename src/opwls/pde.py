@@ -2,8 +2,16 @@ r"""Desk-scale ground-truth operators and dataset construction.
 
 Poisson problems are solved exactly in the sine eigenbasis; viscous Burgers
 is advanced by a first-order IMEX Euler scheme (implicit viscosity, explicit
-pseudospectral flux) on an oversampled interior grid.  All solvers are pure
-functions of (input coefficients, configuration).
+pseudospectral flux) on an oversampled interior grid.  The flux is taken in
+conservative form, ``u u_x = (u^2 / 2)_x``: one sine synthesis of ``u`` and
+one cosine analysis of ``u^2 / 2`` per step.  On a grid of at least
+``2 d_solve`` interior points the projection is exact, so it equals the
+Galerkin flux up to roundoff.  All solvers are pure functions of (input
+coefficients, configuration).
+
+:func:`build_dataset` runs Burgers solves on every core available to the
+process, one contiguous block of rows per thread.  Rows are independent, so
+the outputs do not depend on the number of cores.
 
 Conventions: the 1-D basis is ``sqrt(2) sin(n pi x)`` on (0, 1) and the 2-D
 basis ``2 sin(n1 pi x1) sin(n2 pi x2)`` on the unit square, both orthonormal
@@ -16,7 +24,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy import fft as _fft
@@ -32,12 +43,12 @@ __all__ = [
     "greens_kernel",
     "burgers_solve",
     "burgers_evolve",
+    "solver_threads",
     "build_dataset",
     "default_d_solve",
     "default_dt",
 ]
 
-_FFT_WORKERS = 2
 _BATCH_CHUNK = 1024
 
 
@@ -189,61 +200,75 @@ class BlowUpError(RuntimeError):
     """The explicit flux produced a non-finite state."""
 
 
-def _sine_synthesis(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    # values at x_i = i/(P+1), i = 1..P, of sum_j c_j sqrt(2) sin(j pi x)
-    m, d = coeffs.shape
-    padded = np.zeros((m, grid_size))
-    padded[:, :d] = coeffs
-    return _fft.dst(padded, type=1, axis=1, workers=_FFT_WORKERS) / math.sqrt(2.0)
-
-
-def _sine_analysis(values: np.ndarray, d: int) -> np.ndarray:
-    # inverse of _sine_synthesis restricted to the first d coefficients
-    grid_size = values.shape[1]
-    out = _fft.dst(values, type=1, axis=1, workers=_FFT_WORKERS)
-    return out[:, :d] / (math.sqrt(2.0) * (grid_size + 1))
-
-
-def _cosine_synthesis(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    # values at the same interior grid of sum_j c_j cos(j pi x)
-    m, d = coeffs.shape
-    padded = np.zeros((m, grid_size + 2))
-    padded[:, 1 : d + 1] = 0.5 * coeffs
-    out = _fft.dct(padded, type=1, axis=1, workers=_FFT_WORKERS)
-    return out[:, 1 : grid_size + 1]
-
-
 def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
     """Advance a batch of initial sine coefficients to the final time.
 
-    Per step: synthesize ``u`` and ``u_x`` on the oversampled grid, form the
-    pointwise flux ``u u_x``, project back to sine coefficients, then apply
-    the implicit viscous update
+    The flux is taken in conservative form, ``u u_x = (u^2 / 2)_x``.  For
+    ``w = u^2 / 2``, which vanishes at both ends, integration by parts gives
+    the sine coefficients of the flux from the cosine coefficients of ``w``:
+
+        fluxhat_j = <w_x, sqrt(2) sin(j pi x)> = -j pi <w, sqrt(2) cos(j pi x)>.
+
+    Per step: one DST-I synthesizes ``u`` on the ``grid_size`` interior
+    points, the grid values are squared, one DCT-I over the grid and its two
+    zero end points projects ``w`` onto cosines, and the implicit viscous
+    update follows:
 
         uhat <- (uhat - dt * fluxhat) / (1 + dt * nu * pi^2 j^2).
 
-    Returns all ``d_solve`` coefficients at the final time; callers truncate.
+    The projection is exact, not merely alias-free: ``w cos(j pi x)`` has
+    cosine modes up to ``3 d_solve``, and the trapezoid rule on
+    ``grid_size + 1`` intervals integrates ``cos(l pi x)`` exactly for every
+    ``l < 2 (grid_size + 1)``, which ``grid_size >= 2 d_solve`` guarantees.
+
+    Rows are independent, so any split of the batch gives bitwise identical
+    rows.  Returns all ``d_solve`` coefficients at the final time; callers
+    truncate.
     """
     u0 = np.atleast_2d(np.asarray(u0hat, dtype=float))
     if u0.shape[1] > config.d_solve:
         raise ValueError("initial coefficients exceed the solver dimension")
-    m = u0.shape[0]
-    state = np.zeros((m, config.d_solve))
-    state[:, : u0.shape[1]] = u0
+    m, d, p = u0.shape[0], config.d_solve, config.grid_size
+    # DST-I input: the state occupies the first d columns, the rest stay 0
+    padded = np.zeros((m, p))
+    padded[:, : u0.shape[1]] = u0
+    state = padded[:, :d]
+    # DCT-I input: u^2 on the interior points, u = 0 at both ends
+    squares = np.zeros((m, p + 2))
 
-    j = np.arange(1, config.d_solve + 1, dtype=float)
+    j = np.arange(1, d + 1, dtype=float)
     damp = 1.0 / (1.0 + config.dt * config.viscosity * np.pi**2 * j**2)
-    deriv_scale = j * np.pi * math.sqrt(2.0)
+    # the DST-I returns sqrt(2) u, so its square is 4 w; the DCT-I sum over
+    # the grid is 2 (grid_size + 1) / sqrt(2) times the cosine coefficient
+    flux_scale = config.dt * j * np.pi / (4.0 * math.sqrt(2.0) * (p + 1))
     n_steps = int(round(config.final_time / config.dt))
 
     for _ in range(n_steps):
-        u_grid = _sine_synthesis(state, config.grid_size)
-        ux_grid = _cosine_synthesis(state * deriv_scale, config.grid_size)
-        flux_hat = _sine_analysis(u_grid * ux_grid, config.d_solve)
-        state = (state - config.dt * flux_hat) * damp
+        np.square(_fft.dst(padded, type=1, axis=1), out=squares[:, 1:-1])
+        state += flux_scale * _fft.dct(squares, type=1, axis=1)[:, 1 : d + 1]
+        state *= damp
         if not np.all(np.isfinite(state)):
             raise BlowUpError("non-finite Burgers state; reduce dt or amplitudes")
-    return state
+    return state.copy()
+
+
+def solver_threads() -> int:
+    """Cores :func:`build_dataset` fans Burgers solves out over."""
+    return len(os.sched_getaffinity(0))
+
+
+def _burgers_fan_out(samples: np.ndarray, config: BurgersConfig) -> np.ndarray:
+    # each _BATCH_CHUNK chunk is split into one contiguous row block per
+    # core; scipy.fft and numpy release the GIL, so threads run the blocks
+    # in parallel, without pickling and without worker processes' memory
+    cores = solver_threads()
+    blocks = []
+    with ThreadPoolExecutor(max_workers=cores) as pool:
+        for i in range(0, samples.shape[0], _BATCH_CHUNK):
+            chunk = samples[i : i + _BATCH_CHUNK]
+            split = np.array_split(chunk, min(cores, chunk.shape[0]))
+            blocks.extend(pool.map(burgers_evolve, split, repeat(config)))
+    return np.vstack(blocks)
 
 
 def burgers_solve(
@@ -268,7 +293,10 @@ class DataSet:
         outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if inputs.shape[0] == 0:
-            outputs = outputs.reshape(0, outputs.shape[-1] if outputs.size else 0)
+            # an empty (0, w) block keeps its width; atleast_2d of an empty
+            # vector gives (1, 0), which becomes (0, 0)
+            width = outputs.shape[-1] if outputs.shape[0] == 0 else 0
+            outputs = outputs.reshape(0, width)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "weights", weights)
@@ -326,11 +354,7 @@ def build_dataset(
     elif operator == "burgers":
         if burgers_config is None:
             raise ValueError("burgers requires a solver configuration")
-        chunks = [
-            burgers_evolve(samples[i : i + _BATCH_CHUNK], burgers_config)
-            for i in range(0, samples.shape[0], _BATCH_CHUNK)
-        ]
-        outputs = np.vstack(chunks)
+        outputs = _burgers_fan_out(samples, burgers_config)
     else:
         raise ValueError(f"unknown operator {operator!r}")
     if d_out is not None and samples.shape[0] > 0:

@@ -140,6 +140,10 @@ class TestEnergyFraction:
     def test_half_split(self):
         assert energy_fraction_lost(np.array([[1.0, 1.0]]), 1) == pytest.approx(0.5)
 
+    def test_tail_below_roundoff_of_total(self):
+        lost = energy_fraction_lost(np.array([[1.0, 1e-10]]), 1)
+        assert lost == pytest.approx(1e-20, rel=1e-12)
+
     def test_zero_outputs_convention(self):
         assert energy_fraction_lost(np.zeros((3, 4)), 2) == 0.0
 

@@ -1,9 +1,11 @@
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from opwls.cli import main
 from opwls.experiments import (
@@ -150,6 +152,11 @@ class TestPoisson2dRun:
         assert header.split(",")[-1] == "weight"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == config.content_hash()
+        environment = manifest["environment"]
+        assert environment["python"] == platform.python_version()
+        assert environment["numpy"] == np.__version__
+        assert environment["scipy"] == scipy.__version__
+        assert environment["burgers_threads"] >= 1
 
     def test_timestamps_only_in_manifest(self, tmp_path):
         config = tiny_poisson2d(tmp_path, trials=1, sweep=[4])
@@ -183,6 +190,14 @@ class TestBurgersRun:
         after = [(p.name, p.read_bytes())
                  for p in sorted((result.out_dir / "dataset").glob("*.csv"))]
         assert before == after
+
+    def test_energy_fraction_lost_measured(self, tmp_path):
+        # modes above d_out carry energy the truncation discards
+        result = run(tiny_burgers(tmp_path, sweep=[1]))
+        lines = (result.out_dir / "results.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        lost = float(lines[1].split(",")[header.index("energy_fraction_lost")])
+        assert 0.0 < lost < 1.0
 
     def test_relative_error_small_on_smooth_flow(self, tmp_path):
         config = tiny_burgers(tmp_path, sweep=[2])
@@ -266,6 +281,26 @@ class TestCli:
         assert main(["run", str(bad)]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
+
+    def test_wrongly_typed_field_exits_2_and_writes_nothing(self, tmp_path):
+        config = tiny_poisson2d(tmp_path, out_dir=str(tmp_path / "never"))
+        document = json.loads(config.to_json())
+        document["trials"] = "3"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "never").exists()
+
+    def test_kernel_sweep_beyond_d_in_exits_2_and_writes_nothing(self, tmp_path):
+        config = ExperimentConfig(
+            experiment="poisson1d_kernel", trials=1, n_test=10,
+            measure={"alpha_rule": "squared_index", "d_in": 4}, sweep=[2, 8],
+            out_dir=str(tmp_path / "never"),
+        )
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json())
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "never").exists()
 
     def test_missing_arguments_exit_2(self, capsys):
         assert main(["run"]) == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opwls import pde
 from opwls.pde import (
     BlowUpError,
     BurgersConfig,
@@ -265,3 +266,40 @@ class TestBuildDataset:
         full_err = np.sum((full - prediction) ** 2, axis=1).mean()
         truncation = np.sum(full[:, d_keep:] ** 2, axis=1).mean()
         assert full_err >= truncation - 1e-12
+
+
+class TestBurgersFanOut:
+    # build_dataset splits rows over threads; every split must give the
+    # same bits as solving one row at a time
+    @staticmethod
+    def row_by_row(x, cfg):
+        return np.vstack([burgers_evolve(row, cfg) for row in x])
+
+    def test_fewer_rows_than_cores(self, monkeypatch):
+        monkeypatch.setattr(pde, "solver_threads", lambda: 8)
+        cfg = small_burgers()
+        x = np.random.default_rng(11).uniform(-0.5, 0.5, (3, 3))
+        ds = build_dataset(x, np.ones(3), "burgers", burgers_config=cfg)
+        assert np.array_equal(ds.outputs, self.row_by_row(x, cfg))
+
+    def test_zero_rows(self):
+        cfg = small_burgers()
+        ds = build_dataset(np.zeros((0, 3)), np.zeros(0), "burgers",
+                           burgers_config=cfg, d_out=3)
+        assert ds.outputs.shape == (0, 3)
+
+    def test_rows_crossing_chunk_boundary(self, monkeypatch):
+        monkeypatch.setattr(pde, "_BATCH_CHUNK", 4)
+        monkeypatch.setattr(pde, "solver_threads", lambda: 3)
+        cfg = small_burgers()
+        x = np.random.default_rng(12).uniform(-0.5, 0.5, (11, 3))
+        ds = build_dataset(x, np.ones(11), "burgers", burgers_config=cfg, d_out=2)
+        assert np.array_equal(ds.outputs, self.row_by_row(x, cfg)[:, :2])
+
+    def test_blow_up_in_worker_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(pde, "solver_threads", lambda: 2)
+        cfg = small_burgers(nu=1e-9, T=10.0, dt=0.5)
+        x = np.zeros((4, 3))
+        x[3, 0] = 50.0
+        with pytest.raises(BlowUpError):
+            build_dataset(x, np.ones(4), "burgers", burgers_config=cfg)
