@@ -11,6 +11,10 @@ Each experiment reproduces one of the studies at desk scale:
   point cloud, with Sobolev-weighted error reporting;
 * ``complexity_sweep`` -- assemble vs. solve wall-time table.
 
+The three PDE experiments share one fitting loop, :func:`fit_sweep`, driven
+by a per-experiment :class:`FitSpec`; every training and test set it uses is
+cached losslessly under ``dataset/`` by :func:`cached_dataset`.
+
 Runs are deterministic: every random draw is seeded by a hash of the master
 seed and the draw's role, so outputs are byte-identical across repeats and
 independent of execution order.  Trials execute sequentially; because each
@@ -25,8 +29,10 @@ import json
 import math
 import platform
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import cache, partial
 from numbers import Integral, Real
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -372,9 +378,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def coefficient_header(basis) -> list[str]:
     if isinstance(basis, PolyOperatorBasis):
         return [".".join(str(int(v)) for v in row) for row in basis.scalar_indices]
-    if isinstance(basis, LinearRankOneBasis):
-        return [str(int(m)) for m in basis.input_modes]
-    return [str(j) for j in range(basis.n_eff)]
+    return [str(int(m)) for m in basis.input_modes]
 
 
 def write_coefficients(path: Path, estimate, basis) -> None:
@@ -384,59 +388,47 @@ def write_coefficients(path: Path, estimate, basis) -> None:
     write_csv(path, header, rows)
 
 
-def dataset_key(operator: str, measure_tag, sampler: str, seed: int, m: int) -> str:
-    text = json.dumps([operator, measure_tag, sampler, seed, m], sort_keys=True)
+def dataset_key(cfg_hash: str, sampler: str, seed: int, m: int) -> str:
+    text = json.dumps([cfg_hash, sampler, seed, m])
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
-def save_dataset(ds: DataSet, directory: Path, key: str) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    inputs = np.column_stack([ds.inputs, ds.weights])
-    header_in = [f"f_{j}" for j in range(ds.inputs.shape[1])] + ["weight"]
-    write_csv(directory / f"{key}.inputs.csv", header_in, [list(r) for r in inputs])
-    header_out = [f"g_{j}" for j in range(ds.outputs.shape[1])]
-    write_csv(
-        directory / f"{key}.outputs.csv", header_out, [list(r) for r in ds.outputs]
-    )
-    (directory / f"{key}.json").write_text(
-        json.dumps(ds.provenance, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
+def cached_dataset(
+    directory: Path, key: str, write: bool, draw, operator: str, **build_kwargs
+) -> DataSet:
+    """Dataset ``key`` from the cache, else drawn, solved and cached if ``write``.
 
-
-def load_dataset(directory: Path, key: str) -> DataSet | None:
-    paths = [directory / f"{key}{suffix}" for suffix in (".inputs.csv", ".outputs.csv", ".json")]
-    if not all(p.exists() for p in paths):
-        return None
-    raw_in = np.loadtxt(paths[0], delimiter=",", skiprows=1, ndmin=2)
-    raw_out = np.loadtxt(paths[1], delimiter=",", skiprows=1, ndmin=2)
-    provenance = json.loads(paths[2].read_text(encoding="utf-8"))
-    return DataSet(
-        inputs=raw_in[:, :-1],
-        outputs=raw_out,
-        weights=raw_in[:, -1],
-        provenance=provenance,
-    )
+    ``<key>.npz`` holds ``inputs``, ``weights`` and ``outputs`` losslessly, so
+    a cache hit reproduces a fit bit for bit.  The ``<key>.json`` provenance
+    sidecar is written last, so a dataset whose write was cut short is never
+    read.
+    """
+    arrays, sidecar = directory / f"{key}.npz", directory / f"{key}.json"
+    if arrays.exists() and sidecar.exists():
+        provenance = json.loads(sidecar.read_text(encoding="utf-8"))
+        with np.load(arrays) as stored:
+            return DataSet(**stored, provenance=provenance)
+    samples, weights = draw()
+    ds = build_dataset(samples, weights, operator, **build_kwargs)
+    if write:
+        directory.mkdir(parents=True, exist_ok=True)
+        np.savez(arrays, inputs=ds.inputs, weights=ds.weights, outputs=ds.outputs)
+        sidecar.write_text(
+            json.dumps(ds.provenance, indent=2, sort_keys=True, default=str) + "\n",
+            encoding="utf-8",
+        )
+    return ds
 
 
 @dataclass
 class RunResult:
-    status: int
     out_dir: Path
     results_rows: int
     manifest: dict
 
 
 # --------------------------------------------------------------------------
-# shared fitting loop
-
-
-def draw_training(
-    sampler: str, measure, basis, tables, plan, seed: int, m: int
-):
-    if sampler == "optimal":
-        return sample_optimal(plan, tables, RngSeed(seed), m, basis)
-    return sample_monte_carlo(measure, RngSeed(seed), m, tables=tables)
+# the fitting loop shared by the PDE experiments
 
 
 def fit_once(basis, samples, weights, outputs):
@@ -446,242 +438,180 @@ def fit_once(basis, samples, weights, outputs):
     return estimate, summary
 
 
-def error_record(report, summary, cfg_hash: str, **ids) -> dict:
-    full = report.with_context(gram=summary, config_hash=cfg_hash).as_dict()
-    return {**ids, **full}
+def _or_nan(value: float | None) -> float:
+    return math.nan if value is None else value
 
 
-def write_error_reports(out: Path, records: list[dict]) -> None:
-    (out / "errors.json").write_text(
-        json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+@dataclass(frozen=True)
+class FitSpec:
+    """What one PDE experiment fills into :func:`fit_sweep`.
+
+    ``entry(value)`` gives a sweep value's ``(tag, basis, M, lead)``: ``tag``
+    enters the seeds and the coefficient file name, ``lead`` fills
+    ``lead_columns``.  Training sets are ``build_dataset(..., operator,
+    d_out=d_out, **operator_kwargs)``; test sets keep every output column and
+    are seeded per (tag, trial) if ``test_per_trial``, else per tag.
+    ``metrics(estimate, report, test)`` gives the ``metric_columns``.
+    """
+
+    measure: ProductMeasure
+    d_out: int
+    entry: Callable[[object], tuple]
+    operator: str
+    metric_columns: list
+    metrics: Callable[..., list]
+    coeff_file: str
+    operator_kwargs: dict = field(default_factory=dict)
+    lead_columns: list = field(default_factory=list)
+    test_per_trial: bool = True
+
+
+def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
+    """Draw, solve, fit and test once per (sweep entry, sampler, trial).
+
+    Every training and test set goes through :func:`cached_dataset`.  Writes
+    one row per fit to ``results.csv`` and ``gram.csv``, and the coefficients
+    of trial 0 of the first sampler to ``coeffs/``.
+    """
+    measure, cfg_hash = spec.measure, config.content_hash()
+    coeffs_dir = out / "coeffs"
+    coeffs_dir.mkdir(parents=True, exist_ok=True)
+    rows, gram_rows = [], []
+    for value in config.sweep:
+        tag, basis, m, lead = spec.entry(value)
+        tables = build_induced_tables(measure, basis)
+        plan = mixture_plan(basis)
+
+        def dataset(sampler: str, seed: int, size: int, d_out: int | None) -> DataSet:
+            rng = RngSeed(seed)
+            if sampler == "optimal":
+                draw = partial(sample_optimal, plan, tables, rng, size, basis)
+            else:
+                draw = partial(sample_monte_carlo, measure, rng, size, tables=tables)
+            return cached_dataset(
+                out / "dataset", dataset_key(cfg_hash, sampler, seed, size),
+                config.write_datasets, draw, spec.operator, d_out=d_out,
+                seed=seed, sampler=sampler, **spec.operator_kwargs,
+            )
+
+        @cache
+        def test_set(seed: int) -> DataSet:
+            return dataset("monte_carlo", seed, config.n_test, None)
+
+        for sampler in config.samplers():
+            for trial in range(config.trials):
+                seed = derive_seed(config.seed, "train", tag, sampler, trial)
+                ds = dataset(sampler, seed, m, spec.d_out)
+                estimate, summary = fit_once(basis, ds.inputs, ds.weights, ds.outputs)
+                test_tags = (tag, trial) if spec.test_per_trial else (tag,)
+                test = test_set(derive_seed(config.seed, "test", *test_tags))
+                report = empirical_bochner_error(
+                    test.outputs[:, : spec.d_out], estimate.predict(test.inputs)
+                )
+                rows.append(
+                    [*lead, basis.n_eff, sampler, trial, m, summary.condition,
+                     summary.spectral_gap, report.absolute,
+                     *spec.metrics(estimate, report, test), cfg_hash]
+                )
+                gram_rows.append(
+                    [basis.n_eff, sampler, trial, summary.spectral_gap,
+                     summary.condition, summary.block_size,
+                     summary.stable(config.delta), cfg_hash]
+                )
+                if sampler == config.samplers()[0] and trial == 0:
+                    write_coefficients(
+                        coeffs_dir / spec.coeff_file.format(tag), estimate, basis
+                    )
+    write_csv(
+        out / "results.csv",
+        [*spec.lead_columns, "N_eff", "sampling", "trial", "M", "cond_G", "gap",
+         "test_error", *spec.metric_columns, "config_hash"],
+        rows,
     )
+    write_csv(
+        out / "gram.csv",
+        ["N_eff", "sampling", "trial", "gap", "cond", "block_size", "stable",
+         "config_hash"],
+        gram_rows,
+    )
+    return rows
 
 
 # --------------------------------------------------------------------------
 # experiments
 
 
-def _run_poisson2d(config: ExperimentConfig, out: Path) -> list[list]:
+def cross_basis(config: ExperimentConfig, measure, k, d_out: int) -> PolyOperatorBasis:
+    """Polynomial operator basis on the hyperbolic cross of radius ``k``."""
+    spec = IndexSetSpec(
+        kind="hyperbolic_cross", radius=float(k),
+        gamma=build_gamma(config, len(measure)),
+        degree_cap=int(config.index_set.get("degree_cap", 10)),
+    )
+    return PolyOperatorBasis.build(measure, generate(spec), d_out)
+
+
+def poisson_spec(config: ExperimentConfig) -> FitSpec:
+    """Rank-one fits on the first ``N_eff`` input modes, ``M`` from the certificate."""
     measure, modes = build_measure(config)
-    d_in = len(measure)
-    d_out = config.d_out or d_in
-    cfg_hash = config.content_hash()
-    rows = []
-    gram_rows = []
-    coeffs_dir = out / "coeffs"
-    coeffs_dir.mkdir(parents=True, exist_ok=True)
-    for n_eff in config.sweep:
-        n_eff = int(n_eff)
+    d_out = config.d_out or len(measure)
+
+    def entry(value) -> tuple:
+        n_eff = int(value)
         basis = LinearRankOneBasis.from_measure(measure, np.arange(n_eff), d_out)
-        tables = build_induced_tables(measure, basis)
-        plan = mixture_plan(basis)
-        m = min_samples(n_eff, config.delta, config.epsilon)
-        for sampler in config.samplers():
-            for trial in range(config.trials):
-                seed = derive_seed(config.seed, "train", n_eff, sampler, trial)
-                samples, weights = draw_training(
-                    sampler, measure, basis, tables, plan, seed, m
-                )
-                ds = build_dataset(
-                    samples, weights, "poisson2d", modes_2d=modes, d_out=d_out,
-                    seed=seed, sampler=sampler,
-                )
-                estimate, summary = fit_once(basis, ds.inputs, ds.weights, ds.outputs)
-                test_seed = derive_seed(config.seed, "test", n_eff, trial)
-                test_x, _ = sample_monte_carlo(
-                    measure, RngSeed(test_seed), config.n_test, tables=tables
-                )
-                truth = build_dataset(
-                    test_x, np.ones(config.n_test), "poisson2d",
-                    modes_2d=modes, d_out=d_out, seed=test_seed, sampler="monte_carlo",
-                ).outputs
-                report = empirical_bochner_error(truth, estimate.predict(test_x))
-                rows.append(
-                    [n_eff, sampler, trial, m, summary.condition,
-                     summary.spectral_gap, report.absolute,
-                     report.relative if report.relative is not None else math.nan,
-                     cfg_hash]
-                )
-                gram_rows.append(
-                    [n_eff, sampler, trial, summary.spectral_gap,
-                     summary.condition, summary.block_size,
-                     summary.stable(config.delta), cfg_hash]
-                )
-                if trial == 0 and sampler == "optimal":
-                    write_coefficients(
-                        coeffs_dir / f"poisson2d_neff{n_eff}.csv", estimate, basis
-                    )
-                if config.write_datasets:
-                    key = dataset_key("poisson2d", cfg_hash, sampler, seed, m)
-                    if load_dataset(out / "dataset", key) is None:
-                        save_dataset(ds, out / "dataset", key)
-    write_csv(
-        out / "results.csv",
-        ["N_eff", "sampling", "trial", "M", "cond_G", "gap", "test_error",
-         "rel_test_error", "config_hash"],
-        rows,
-    )
-    write_csv(
-        out / "gram.csv",
-        ["N_eff", "sampling", "trial", "gap", "cond", "block_size", "stable",
-         "config_hash"],
-        gram_rows,
-    )
-    return rows
+        return n_eff, basis, min_samples(n_eff, config.delta, config.epsilon), []
 
-
-def _run_poisson1d_kernel(config: ExperimentConfig, out: Path) -> list[list]:
-    measure, _ = build_measure(config)
-    d_in = len(measure)
-    d_out = config.d_out or d_in
-    cfg_hash = config.content_hash()
+    common = dict(measure=measure, d_out=d_out, entry=entry)
+    if config.experiment == "poisson2d":
+        return FitSpec(
+            **common, operator="poisson2d", operator_kwargs={"modes_2d": modes},
+            metric_columns=["rel_test_error"],
+            metrics=lambda estimate, report, test: [_or_nan(report.relative)],
+            coeff_file="poisson2d_neff{}.csv",
+        )
     grid = np.linspace(0.0, 1.0, 101)
     exact = greens_kernel(grid[:, None], grid[None, :])
-    rows = []
-    gram_rows = []
-    coeffs_dir = out / "coeffs"
-    coeffs_dir.mkdir(parents=True, exist_ok=True)
-    for n_eff in config.sweep:
-        n_eff = int(n_eff)
-        basis = LinearRankOneBasis.from_measure(measure, np.arange(n_eff), d_out)
-        tables = build_induced_tables(measure, basis)
-        plan = mixture_plan(basis)
-        m = min_samples(n_eff, config.delta, config.epsilon)
-        for sampler in config.samplers():
-            for trial in range(config.trials):
-                seed = derive_seed(config.seed, "train", n_eff, sampler, trial)
-                samples, weights = draw_training(
-                    sampler, measure, basis, tables, plan, seed, m
-                )
-                ds = build_dataset(
-                    samples, weights, "poisson1d", d_out=d_out,
-                    seed=seed, sampler=sampler,
-                )
-                estimate, summary = fit_once(basis, ds.inputs, ds.weights, ds.outputs)
-                kernel = reconstruct_kernel(estimate, grid, grid)
-                sup_err = float(np.max(np.abs(kernel - exact)))
-                test_seed = derive_seed(config.seed, "test", n_eff, trial)
-                test_x, _ = sample_monte_carlo(
-                    measure, RngSeed(test_seed), config.n_test, tables=tables
-                )
-                truth = build_dataset(
-                    test_x, np.ones(config.n_test), "poisson1d", d_out=d_out,
-                    seed=test_seed, sampler="monte_carlo",
-                ).outputs
-                report = empirical_bochner_error(truth, estimate.predict(test_x))
-                rows.append(
-                    [n_eff, sampler, trial, m, summary.condition,
-                     summary.spectral_gap, report.absolute, sup_err, cfg_hash]
-                )
-                gram_rows.append(
-                    [n_eff, sampler, trial, summary.spectral_gap, summary.condition,
-                     summary.block_size, summary.stable(config.delta), cfg_hash]
-                )
-                if trial == 0:
-                    write_coefficients(
-                        coeffs_dir / f"kernel_neff{n_eff}.csv", estimate, basis
-                    )
-    write_csv(
-        out / "results.csv",
-        ["N_eff", "sampling", "trial", "M", "cond_G", "gap", "test_error",
-         "kernel_sup_error", "config_hash"],
-        rows,
+
+    def sup_error(estimate, report, test) -> list:
+        kernel = reconstruct_kernel(estimate, grid, grid)
+        return [float(np.max(np.abs(kernel - exact)))]
+
+    return FitSpec(
+        **common, operator="poisson1d", metric_columns=["kernel_sup_error"],
+        metrics=sup_error, coeff_file="kernel_neff{}.csv",
     )
-    write_csv(
-        out / "gram.csv",
-        ["N_eff", "sampling", "trial", "gap", "cond", "block_size", "stable",
-         "config_hash"],
-        gram_rows,
-    )
-    return rows
 
 
-def _run_burgers(config: ExperimentConfig, out: Path) -> list[list]:
+def burgers_spec(config: ExperimentConfig) -> FitSpec:
+    """Polynomial fits on the hyperbolic cross of radius ``k``, ``M = N log N``."""
     measure, _ = build_measure(config)
-    d_in = len(measure)
-    solver = burgers_solver(config, d_in)
-    d_out = solver.d_out
-    gamma = build_gamma(config, d_in)
-    cap = int(config.index_set.get("degree_cap", 10))
-    cfg_hash = config.content_hash()
-    rows = []
-    gram_rows = []
-    coeffs_dir = out / "coeffs"
-    coeffs_dir.mkdir(parents=True, exist_ok=True)
-    for k in config.sweep:
-        spec = IndexSetSpec(
-            kind="hyperbolic_cross", radius=float(k), gamma=gamma, degree_cap=cap
-        )
-        indices = generate(spec)
-        basis = PolyOperatorBasis.build(measure, indices, d_out)
+    solver = burgers_solver(config, len(measure))
+
+    def entry(k) -> tuple:
+        basis = cross_basis(config, measure, k, solver.d_out)
         n_eff = basis.n_eff
-        tables = build_induced_tables(measure, basis)
-        plan = mixture_plan(basis)
-        m = int(math.ceil(n_eff * math.log(max(n_eff, 2))))
-        test_seed = derive_seed(config.seed, "test", k)
-        test_x, _ = sample_monte_carlo(
-            measure, RngSeed(test_seed), config.n_test, tables=tables
-        )
-        # the test set keeps all d_solve solver modes, so the energy that
-        # truncation to d_out discards can be measured; d_solve is in the key
-        # so that a test set cached with only d_out columns is never reused
-        test_key = dataset_key(
-            "burgers", [cfg_hash, k, solver.d_solve], "test", test_seed, config.n_test
-        )
-        test_ds = load_dataset(out / "dataset", test_key)
-        if test_ds is None:
-            test_ds = build_dataset(
-                test_x, np.ones(config.n_test), "burgers",
-                burgers_config=solver, seed=test_seed, sampler="monte_carlo",
-            )
-            if config.write_datasets:
-                save_dataset(test_ds, out / "dataset", test_key)
-        truth = test_ds.outputs[:, :d_out]
-        lost = energy_fraction_lost(test_ds.outputs, d_out)
-        for sampler in config.samplers():
-            for trial in range(config.trials):
-                seed = derive_seed(config.seed, "train", k, sampler, trial)
-                key = dataset_key("burgers", [cfg_hash, k], sampler, seed, m)
-                ds = load_dataset(out / "dataset", key)
-                if ds is None:
-                    samples, weights = draw_training(
-                        sampler, measure, basis, tables, plan, seed, m
-                    )
-                    ds = build_dataset(
-                        samples, weights, "burgers", burgers_config=solver,
-                        d_out=d_out, seed=seed, sampler=sampler,
-                    )
-                    if config.write_datasets:
-                        save_dataset(ds, out / "dataset", key)
-                estimate, summary = fit_once(basis, ds.inputs, ds.weights, ds.outputs)
-                report = empirical_bochner_error(truth, estimate.predict(test_x))
-                rows.append(
-                    [k, n_eff, sampler, trial, m, summary.condition,
-                     summary.spectral_gap, report.absolute,
-                     report.relative if report.relative is not None else math.nan,
-                     lost, cfg_hash]
-                )
-                gram_rows.append(
-                    [n_eff, sampler, trial, summary.spectral_gap, summary.condition,
-                     summary.block_size, summary.stable(config.delta), cfg_hash]
-                )
-                if trial == 0 and sampler == "optimal":
-                    write_coefficients(
-                        coeffs_dir / f"burgers_k{k}.csv", estimate, basis
-                    )
-    write_csv(
-        out / "results.csv",
-        ["k", "N_eff", "sampling", "trial", "M", "cond_G", "gap", "test_error",
-         "rel_test_error", "energy_fraction_lost", "config_hash"],
-        rows,
+        return k, basis, math.ceil(n_eff * math.log(max(n_eff, 2))), [k]
+
+    def metrics(estimate, report, test) -> list:
+        # the test set keeps all d_solve solver modes, so this is the output
+        # energy that truncation to d_out discards
+        lost = energy_fraction_lost(test.outputs, solver.d_out)
+        return [_or_nan(report.relative), lost]
+
+    return FitSpec(
+        measure=measure, d_out=solver.d_out, entry=entry, operator="burgers",
+        operator_kwargs={"burgers_config": solver}, lead_columns=["k"],
+        test_per_trial=False,
+        metric_columns=["rel_test_error", "energy_fraction_lost"],
+        metrics=metrics, coeff_file="burgers_k{}.csv",
     )
-    write_csv(
-        out / "gram.csv",
-        ["N_eff", "sampling", "trial", "gap", "cond", "block_size", "stable",
-         "config_hash"],
-        gram_rows,
-    )
-    return rows
+
+
+FIT_SPECS = {
+    "poisson2d": poisson_spec,
+    "poisson1d_kernel": poisson_spec,
+    "burgers": burgers_spec,
+}
 
 
 def synthetic_cloud(measure: ProductMeasure, size: int, seed: int) -> np.ndarray:
@@ -710,21 +640,14 @@ def discrete_demo(config: ExperimentConfig, out: Path | None = None) -> list[lis
     """
     out = Path(out or config.out_dir)
     measure, _ = build_measure(config)
-    d_in = len(measure)
     d_out = config.d_out or 12
-    cap = int(config.index_set.get("degree_cap", 10))
-    gamma = build_gamma(config, d_in)
     cfg_hash = config.content_hash()
     cloud = synthetic_cloud(measure, config.cloud_size, derive_seed(config.seed, "cloud"))
     targets = demo_target(cloud, d_out)
     output_modes = np.arange(1, d_out + 1)
     rows = []
     for k in config.sweep:
-        spec = IndexSetSpec(
-            kind="hyperbolic_cross", radius=float(k), gamma=gamma, degree_cap=cap
-        )
-        indices = generate(spec)
-        ref_basis = PolyOperatorBasis.build(measure, indices, d_out)
+        ref_basis = cross_basis(config, measure, k, d_out)
 
         def raw_features(x, _b=ref_basis):
             return _b.scalar_features(x, warn_extrapolation=False)
@@ -755,9 +678,7 @@ def discrete_demo(config: ExperimentConfig, out: Path | None = None) -> list[lis
                     rows.append(
                         [k, n_eff, sampler, trial, float(alpha), m,
                          summary.condition, summary.spectral_gap, report.absolute,
-                         report.relative if report.relative is not None else math.nan,
-                         report.mean_of_ratios
-                         if report.mean_of_ratios is not None else math.nan,
+                         _or_nan(report.relative), _or_nan(report.mean_of_ratios),
                          cfg_hash]
                     )
     out.mkdir(parents=True, exist_ok=True)
@@ -834,12 +755,8 @@ def run(config: ExperimentConfig) -> RunResult:
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.experiment == "poisson2d":
-        rows = _run_poisson2d(config, out)
-    elif config.experiment == "poisson1d_kernel":
-        rows = _run_poisson1d_kernel(config, out)
-    elif config.experiment == "burgers":
-        rows = _run_burgers(config, out)
+    if config.experiment in FIT_SPECS:
+        rows = fit_sweep(config, out, FIT_SPECS[config.experiment](config))
     elif config.experiment == "discrete_demo":
         rows = discrete_demo(config, out)
     else:
@@ -861,4 +778,4 @@ def run(config: ExperimentConfig) -> RunResult:
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return RunResult(status=0, out_dir=out, results_rows=len(rows), manifest=manifest)
+    return RunResult(out_dir=out, results_rows=len(rows), manifest=manifest)

@@ -34,7 +34,6 @@ __all__ = [
     "truncate_output",
     "condition_estimator",
     "predict",
-    "gamma_diagnostic",
 ]
 
 # Singular values below this times the largest are treated as zero.
@@ -62,15 +61,6 @@ def min_samples(n_eff: int, delta: float, epsilon: float) -> int:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     return int(math.ceil(c_delta(delta) * n_eff * math.log(2.0 * n_eff / epsilon)))
-
-
-def gamma_diagnostic(n_total: int, delta: float, epsilon: float) -> float:
-    """Derived constant ``gamma(N) = 1 / (c_delta log(2N / epsilon))``.
-
-    Logged next to measured errors; the expected-error bound it enters
-    involves unobservable terms and is never asserted.
-    """
-    return 1.0 / (c_delta(delta) * math.log(2.0 * n_total / epsilon))
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,33 @@ def tiny_burgers(tmp_path, **overrides):
     return ExperimentConfig(**params)
 
 
+def tiny_kernel(tmp_path, **overrides):
+    params = dict(
+        experiment="poisson1d_kernel",
+        seed=7,
+        sampling="optimal",
+        trials=1,
+        n_test=10,
+        measure={"alpha_rule": "squared_index", "d_in": 8},
+        sweep=[2, 4],
+        out_dir=str(tmp_path / "kernel"),
+    )
+    params.update(overrides)
+    return ExperimentConfig(**params)
+
+
+def stable_artifacts(out: Path) -> dict[str, bytes]:
+    """The files the README promises are byte-identical across reruns."""
+    coeffs = sorted((out / "coeffs").glob("*.csv"))
+    assert coeffs
+    paths = [out / "results.csv", out / "gram.csv", *coeffs]
+    return {str(p.relative_to(out)): p.read_bytes() for p in paths}
+
+
+def dataset_files(out: Path) -> list[tuple[str, bytes]]:
+    return [(p.name, p.read_bytes()) for p in sorted((out / "dataset").iterdir())]
+
+
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
         config = tiny_poisson2d(tmp_path)
@@ -117,7 +144,6 @@ class TestPoisson2dRun:
     def test_row_shape_and_columns(self, tmp_path):
         config = tiny_poisson2d(tmp_path)
         result = run(config)
-        assert result.status == 0
         # trials x sweep sizes x two samplers
         assert result.results_rows == 2 * 2 * 2
         lines = (result.out_dir / "results.csv").read_text().splitlines()
@@ -130,15 +156,6 @@ class TestPoisson2dRun:
         for line in lines[1:]:
             assert line.split(",")[column] == config.content_hash()
 
-    def test_byte_identical_rerun(self, tmp_path):
-        config = tiny_poisson2d(tmp_path, trials=1, sweep=[4])
-        run(config)
-        first = (Path(config.out_dir) / "results.csv").read_bytes()
-        gram_first = (Path(config.out_dir) / "gram.csv").read_bytes()
-        run(config)
-        assert (Path(config.out_dir) / "results.csv").read_bytes() == first
-        assert (Path(config.out_dir) / "gram.csv").read_bytes() == gram_first
-
     def test_artifacts_exist(self, tmp_path):
         config = tiny_poisson2d(tmp_path, trials=1, sweep=[4])
         result = run(config)
@@ -146,10 +163,18 @@ class TestPoisson2dRun:
         assert (out / "manifest.json").exists()
         assert (out / "gram.csv").exists()
         assert list((out / "coeffs").glob("*.csv"))
-        datasets = list((out / "dataset").glob("*.inputs.csv"))
-        assert datasets
-        header = datasets[0].read_text().splitlines()[0]
-        assert header.split(",")[-1] == "weight"
+        # both samplers' training sets and the test set, each an .npz of
+        # its arrays plus a JSON provenance sidecar
+        datasets = sorted((out / "dataset").glob("*.npz"))
+        assert len(datasets) == 3
+        for path in datasets:
+            with np.load(path) as stored:
+                assert sorted(stored.files) == ["inputs", "outputs", "weights"]
+                rows = stored["inputs"].shape[0]
+                assert stored["weights"].shape == (rows,)
+                assert stored["outputs"].shape[0] == rows
+            provenance = json.loads(path.with_suffix(".json").read_text())
+            assert provenance["operator"] == "poisson2d"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == config.content_hash()
         environment = manifest["environment"]
@@ -182,14 +207,21 @@ class TestBurgersRun:
         header = lines[0].split(",")
         assert header[0] == "k"
         assert len(lines) == 1 + len(config.sweep)
-        # dataset cache exists and is reused on rerun
-        cached = sorted((result.out_dir / "dataset").glob("*.csv"))
-        assert cached
-        before = [(p.name, p.read_bytes()) for p in cached]
+        # one training set per radius and one test set per radius, each an
+        # .npz of its arrays plus a JSON provenance sidecar
+        cache = result.out_dir / "dataset"
+        arrays = sorted(cache.glob("*.npz"))
+        assert len(arrays) == 2 * len(config.sweep)
+        for path in arrays:
+            with np.load(path) as stored:
+                assert sorted(stored.files) == ["inputs", "outputs", "weights"]
+            provenance = json.loads(path.with_suffix(".json").read_text())
+            assert provenance["operator"] == "burgers"
+        assert len(list(cache.iterdir())) == 2 * len(arrays)
+        # the cache is reused on rerun and its files stay unchanged
+        before = dataset_files(result.out_dir)
         run(config)
-        after = [(p.name, p.read_bytes())
-                 for p in sorted((result.out_dir / "dataset").glob("*.csv"))]
-        assert before == after
+        assert dataset_files(result.out_dir) == before
 
     def test_energy_fraction_lost_measured(self, tmp_path):
         # modes above d_out carry energy the truncation discards
@@ -206,6 +238,51 @@ class TestBurgersRun:
         header = lines[0].split(",")
         rel = float(lines[1].split(",")[header.index("rel_test_error")])
         assert rel < 1e-2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp_path: tiny_poisson2d(tmp_path, trials=1, sweep=[4]),
+        tiny_kernel,
+        lambda tmp_path: tiny_burgers(tmp_path, sweep=[2]),
+    ],
+    ids=["poisson2d", "poisson1d_kernel", "burgers"],
+)
+def test_byte_identical_rerun(tmp_path, make):
+    # the warm run reads every dataset back from the cache
+    config = make(tmp_path)
+    run(config)
+    first = stable_artifacts(Path(config.out_dir))
+    run(config)
+    assert stable_artifacts(Path(config.out_dir)) == first
+
+
+def test_cache_read_without_write_datasets(tmp_path, monkeypatch):
+    config = tiny_poisson2d(tmp_path, trials=1, sweep=[4])
+    run(config)
+    first = stable_artifacts(Path(config.out_dir))
+
+    def no_solves(*args, **kwargs):
+        raise AssertionError("a cached dataset was solved again")
+
+    monkeypatch.setattr("opwls.experiments.build_dataset", no_solves)
+    config.write_datasets = False
+    run(config)
+    assert stable_artifacts(Path(config.out_dir)) == first
+
+
+def test_kernel_coefficients_from_first_sampler(tmp_path):
+    # "both" writes trial 0 of the optimal fit, the same file as "optimal"
+    both = tiny_kernel(tmp_path, sampling="both", out_dir=str(tmp_path / "both"))
+    optimal = tiny_kernel(tmp_path, out_dir=str(tmp_path / "optimal"))
+    run(both)
+    run(optimal)
+    coeffs = [
+        {p.name: p.read_bytes() for p in sorted((Path(c.out_dir) / "coeffs").iterdir())}
+        for c in (both, optimal)
+    ]
+    assert coeffs[0] and coeffs[0] == coeffs[1]
 
 
 class TestDiscreteDemo:
