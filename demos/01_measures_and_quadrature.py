@@ -6,12 +6,12 @@ its closed-form recurrence, and quadrature exactness.
 
 import numpy as np
 
-from opwls import UnivariateMeasure, build_family, eval_poly, gauss_rule, second_moment
+from opwls import UnivariateMeasure, build_family, eval_poly, gauss_rule
 
 print("== symmetric Jacobi measures ==")
 for alpha in (0.0, 1.0, 13.5):
     m = UnivariateMeasure(alpha)
-    print(f"alpha={alpha:5.1f}: second moment = {second_moment(m):.6f}"
+    print(f"alpha={alpha:5.1f}: second moment = {m.variance:.6f}"
           f"  (1/(2a+3) = {1/(2*alpha+3):.6f})")
 
 print("\n== orthonormal polynomials (alpha = 0: normalized Legendre) ==")

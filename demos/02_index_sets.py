@@ -6,7 +6,7 @@ space, and that all uniform-weight sets are monotone lower.
 
 import numpy as np
 
-from opwls import IndexSetSpec, effective_dimension, generate, is_monotone_lower
+from opwls import IndexSetSpec, generate, is_monotone_lower
 from opwls.index_sets import indices_to_text
 
 d = 2
@@ -14,7 +14,7 @@ print("== hyperbolic cross, k = 3, two modes ==")
 spec = IndexSetSpec(kind="hyperbolic_cross", radius=3.0, gamma=np.ones(d), degree_cap=10)
 indices = generate(spec)
 print(indices_to_text(indices).strip())
-print(f"N_eff = {effective_dimension(indices)}, monotone lower: "
+print(f"N_eff = {len(indices)}, monotone lower: "
       f"{is_monotone_lower(indices)}")
 
 print("\n== growth of N_eff with the radius (d = 8, cap 10) ==")
@@ -23,7 +23,7 @@ for kind, p in (("lp_ball", 1.0), ("hyperbolic_cross", 1.0)):
     for k in (2, 4, 8, 12):
         spec = IndexSetSpec(kind=kind, p=p, radius=float(k),
                             gamma=np.ones(8), degree_cap=10)
-        sizes.append(effective_dimension(generate(spec)))
+        sizes.append(len(generate(spec)))
     label = "l1 ball" if kind == "lp_ball" else "hyperbolic cross"
     print(f"  {label:18s}: {sizes}")
 

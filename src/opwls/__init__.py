@@ -19,7 +19,6 @@ from .evaluation import (
 )
 from .index_sets import (
     IndexSetSpec,
-    effective_dimension,
     generate,
     is_monotone_lower,
 )
@@ -31,16 +30,13 @@ from .measures import (
     build_family,
     eval_poly,
     gauss_rule,
-    second_moment,
 )
 from .operator_basis import (
     LinearRankOneBasis,
     PolyOperatorBasis,
     christoffel,
-    linear_features,
     monomial_operator_eval,
     optimal_weight,
-    scalar_features,
 )
 from .pde import (
     BurgersConfig,
@@ -60,7 +56,6 @@ from .sampling import (
     build_discrete_plan,
     build_induced_table,
     build_induced_tables,
-    draw_base,
     draw_induced,
     mixture_plan,
     sample_discrete,
@@ -70,14 +65,12 @@ from .sampling import (
 from .wls import (
     GramSummary,
     OperatorEstimate,
-    StabilityBudget,
     WlsSystem,
     assemble,
     c_delta,
     condition_estimator,
     gram_diagnostics,
     min_samples,
-    predict,
     solve,
     truncate_output,
 )

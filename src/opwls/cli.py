@@ -2,10 +2,11 @@
 
 Usage::
 
-    opwls run <config.json> [--seed N] [--out DIR] [--preset NAME]
+    opwls run (<config.json> | --preset NAME) [--seed N] [--out DIR]
               [--trials N] [--sampling optimal|monte-carlo]
 
-A preset can stand in for the config file; explicit flags override both.
+A preset stands in for the config file; giving both is a validation error.
+Explicit flags override either.
 Failures exit nonzero after printing a machine-readable JSON error record to
 stderr; validation errors write no files.
 """
@@ -39,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config is None and args.preset is None:
-        raise ConfigError("provide a config file or --preset")
+    if (args.config is None) == (args.preset is None):
+        raise ConfigError("provide either a config file or --preset")
     if args.config is not None:
         text = Path(args.config).read_text(encoding="utf-8")
         config = ExperimentConfig.from_json(text)

@@ -138,7 +138,10 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a required field is missing
+            raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -204,6 +207,9 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"N_eff={n_eff} exceeds the {d_in} available modes"
                     )
+            # Poisson outputs have one mode per input mode
+            if (self.d_out or 0) > d_in:
+                raise ConfigError(f"d_out={self.d_out} exceeds the {d_in} modes")
         if self.experiment in ("burgers", "discrete_demo"):
             build_gamma(self, d_in)
         if self.experiment == "burgers":
@@ -319,12 +325,12 @@ def build_measure(config: ExperimentConfig) -> tuple[ProductMeasure, np.ndarray 
         alphas = np.sum(modes, axis=1).astype(float) ** 3
         return ProductMeasure.from_alphas(alphas), modes
     if rule == "squared_index":
-        if "d_in" in spec and spec["d_in"]:
-            d_in = int(spec["d_in"])
-        else:
+        d_in = spec.get("d_in")
+        if d_in is None:
             universe = np.arange(1, 4097)
             d_in = select_d_in(1.0 / (2.0 * universe**2 + 3.0), config.energy_target)
-        alphas = np.arange(1, d_in + 1, dtype=float) ** 2
+        # d_in <= 0 leaves no marginal, which ProductMeasure rejects
+        alphas = np.arange(1, int(d_in) + 1, dtype=float) ** 2
         return ProductMeasure.from_alphas(alphas), None
     if rule == "explicit":
         alphas = np.asarray(spec["alphas"], dtype=float)

@@ -19,7 +19,7 @@ Prefixes of this order are always monotone lower sets, because every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "IndexSetSpec",
     "generate",
     "is_monotone_lower",
-    "effective_dimension",
     "indices_to_text",
     "indices_from_text",
 ]
@@ -143,11 +142,6 @@ def is_monotone_lower(indices: np.ndarray) -> bool:
                 if lower not in pool:
                     return False
     return True
-
-
-def effective_dimension(indices: np.ndarray) -> int:
-    """Cardinality of the scalar index set (``N_eff``)."""
-    return int(np.atleast_2d(indices).shape[0])
 
 
 def indices_to_text(indices: np.ndarray) -> str:

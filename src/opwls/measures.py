@@ -32,7 +32,6 @@ __all__ = [
     "ProductMeasure",
     "PolynomialFamily",
     "QuadratureRule",
-    "second_moment",
     "build_family",
     "gauss_rule",
     "eval_poly",
@@ -79,11 +78,6 @@ class UnivariateMeasure:
         return out
 
 
-def second_moment(measure: UnivariateMeasure) -> float:
-    """Closed-form second moment ``1 / (2 alpha + 3)`` of a marginal."""
-    return measure.variance
-
-
 @dataclass(frozen=True)
 class ProductMeasure:
     """Finite product of symmetric Jacobi marginals over input modes."""
@@ -100,10 +94,6 @@ class ProductMeasure:
         return cls(tuple(UnivariateMeasure(float(a)) for a in alphas))
 
     def __len__(self) -> int:
-        return len(self.marginals)
-
-    @property
-    def dim(self) -> int:
         return len(self.marginals)
 
     @property
@@ -146,18 +136,17 @@ def _recurrence_offdiag(alpha: float, n: int) -> np.ndarray:
 class PolynomialFamily:
     """Orthonormal polynomials of a symmetric Jacobi marginal.
 
-    ``a[n]`` and ``b[n]`` are the three-term recurrence coefficients of the
-    orthonormal family,
+    ``b[n]`` are the three-term recurrence coefficients of the orthonormal
+    family,
 
-        b_{n+1} p_{n+1}(x) = (x - a_n) p_n(x) - b_n p_{n-1}(x),
+        b_{n+1} p_{n+1}(x) = x p_n(x) - b_n p_{n-1}(x),
 
-    with ``p_0 = 1``.  Symmetry forces ``a_n = 0`` for all ``n``.  Leading
-    coefficients are ``1 / (b_1 ... b_n) > 0``.
+    with ``p_0 = 1``; symmetry of the measure zeroes the diagonal terms.
+    Leading coefficients are ``1 / (b_1 ... b_n) > 0``.
     """
 
     measure: UnivariateMeasure
     n_max: int
-    a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
 
     def recurrence_offdiag(self, n: int) -> np.ndarray:
@@ -171,11 +160,8 @@ def build_family(measure: UnivariateMeasure, n_max: int) -> PolynomialFamily:
     """Construct the orthonormal family of ``measure`` up to degree ``n_max``."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if measure.alpha < _ALPHA_FLOOR:
-        raise ValueError("measure exponent too close to -1")
     b = _recurrence_offdiag(measure.alpha, n_max + 1)
-    a = np.zeros(n_max + 2)
-    return PolynomialFamily(measure=measure, n_max=n_max, a=a, b=b)
+    return PolynomialFamily(measure=measure, n_max=n_max, b=b)
 
 
 def poly_table(family: PolynomialFamily, n_max: int, x: np.ndarray) -> np.ndarray:
@@ -215,9 +201,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     order: int
-
-    def integrate(self, values: np.ndarray) -> float | np.ndarray:
-        return np.asarray(values, dtype=float) @ self.weights
 
     def moment(self, r: int) -> float:
         return float(self.weights @ self.nodes**r)

@@ -30,8 +30,6 @@ from .measures import PolynomialFamily, ProductMeasure, build_family, poly_table
 __all__ = [
     "LinearRankOneBasis",
     "PolyOperatorBasis",
-    "scalar_features",
-    "linear_features",
     "christoffel",
     "optimal_weight",
     "monomial_operator_eval",
@@ -92,7 +90,10 @@ class LinearRankOneBasis:
         ]
 
     def scalar_features(self, fhat: np.ndarray) -> np.ndarray:
-        return linear_features(self, fhat)
+        """Normalized selected coordinates ``fhat_{n1} / sigma_{n1}``."""
+        batch, single = _as_batch(fhat, self.d_in)
+        out = batch[:, self.input_modes] / self.sigmas
+        return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,28 @@ class PolyOperatorBasis:
     def scalar_features(
         self, fhat: np.ndarray, warn_extrapolation: bool = True
     ) -> np.ndarray:
-        return scalar_features(self, fhat, warn_extrapolation=warn_extrapolation)
+        """Evaluate ``phi_lam(fhat) = prod_j p^j_{lam_j}(fhat_j)`` for every ``lam``.
+
+        Accepts a single coefficient vector or an ``(M, d_in)`` batch.  Entries
+        outside [-1, 1] are allowed but flagged with a warning: the features
+        are then polynomial extrapolations, useful only for diagnostics.
+        """
+        batch, single = _as_batch(fhat, self.d_in)
+        if warn_extrapolation and np.any(np.abs(batch) > 1.0 + 1e-14):
+            warnings.warn(
+                "input coefficients outside [-1, 1]: features are extrapolated",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        out = np.ones((batch.shape[0], self.n_eff))
+        for j, family in enumerate(self.families):
+            degrees = self.scalar_indices[:, j]
+            top = int(degrees.max(initial=0))
+            if top == 0:
+                continue
+            table = poly_table(family, top, batch[:, j])
+            out *= table[degrees].T
+        return out[0] if single else out
 
 
 def _as_batch(fhat: np.ndarray, d_in: int) -> tuple[np.ndarray, bool]:
@@ -155,40 +177,6 @@ def _as_batch(fhat: np.ndarray, d_in: int) -> tuple[np.ndarray, bool]:
     if batch.shape[1] != d_in:
         raise ValueError(f"expected input length {d_in}, got {batch.shape[1]}")
     return batch, single
-
-
-def scalar_features(
-    basis: PolyOperatorBasis, fhat: np.ndarray, warn_extrapolation: bool = True
-) -> np.ndarray:
-    """Evaluate ``phi_lam(fhat) = prod_j p^j_{lam_j}(fhat_j)`` for every ``lam``.
-
-    Accepts a single coefficient vector or an ``(M, d_in)`` batch.  Entries
-    outside [-1, 1] are allowed but flagged with a warning: the features are
-    then polynomial extrapolations, useful only for diagnostics.
-    """
-    batch, single = _as_batch(fhat, basis.d_in)
-    if warn_extrapolation and np.any(np.abs(batch) > 1.0 + 1e-14):
-        warnings.warn(
-            "input coefficients outside [-1, 1]: features are extrapolated",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    out = np.ones((batch.shape[0], basis.n_eff))
-    for j, family in enumerate(basis.families):
-        degrees = basis.scalar_indices[:, j]
-        top = int(degrees.max(initial=0))
-        if top == 0:
-            continue
-        table = poly_table(family, top, batch[:, j])
-        out *= table[degrees].T
-    return out[0] if single else out
-
-
-def linear_features(basis: LinearRankOneBasis, fhat: np.ndarray) -> np.ndarray:
-    """Normalized selected coordinates ``fhat_{n1} / sigma_{n1}``."""
-    batch, single = _as_batch(fhat, basis.d_in)
-    out = batch[:, basis.input_modes] / basis.sigmas
-    return out[0] if single else out
 
 
 def christoffel(basis, fhat: np.ndarray, weight: float = 1.0) -> float | np.ndarray:

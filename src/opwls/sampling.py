@@ -14,9 +14,10 @@ Each univariate marginal (base or induced) is replaced by the discrete
 measure of a Q-point Gauss rule: the induced law of degree ``n`` puts mass
 ``w_q * p_n(x_q)^2`` at node ``x_q``, which sums to one by quadrature
 exactness whenever ``2n <= 2Q - 1``.  Inverse-transform sampling then reduces
-to a binary search of cumulative columns.  The degree-1 column doubles as the
-induced law of the linear basis, since the orthonormal degree-1 polynomial of
-a centered marginal is exactly ``x / sigma``.
+to a binary search of cumulative columns.  The rank-one linear family is the
+degree-1 case of the polynomial one: the orthonormal degree-1 polynomial of a
+centered marginal is exactly ``x / sigma``, so both families share one draw
+path.
 
 Randomness is counter based (Philox).  Sample ``i`` of a batch owns a fixed
 block of uniforms that any worker can regenerate by advancing the counter,
@@ -34,7 +35,6 @@ from scipy.linalg import solve_triangular
 from .measures import (
     PolynomialFamily,
     ProductMeasure,
-    UnivariateMeasure,
     build_family,
     default_quadrature_order,
     gauss_rule,
@@ -50,7 +50,6 @@ __all__ = [
     "DiscreteFeatureBasis",
     "build_induced_table",
     "build_induced_tables",
-    "draw_base",
     "draw_induced",
     "mixture_plan",
     "sample_optimal",
@@ -104,10 +103,6 @@ class InducedTable:
 
     nodes: np.ndarray
     cdf: dict[int, np.ndarray] = field(repr=False)
-    order: int = 0
-
-    def degrees(self) -> set[int]:
-        return set(self.cdf)
 
 
 def build_induced_table(
@@ -140,7 +135,7 @@ def build_induced_table(
         column = np.cumsum(masses / total)
         column[-1] = 1.0
         cdf[n] = column
-    return InducedTable(nodes=rule.nodes, cdf=cdf, order=order)
+    return InducedTable(nodes=rule.nodes, cdf=cdf)
 
 
 def _invert(nodes: np.ndarray, cdf_column: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -148,15 +143,13 @@ def _invert(nodes: np.ndarray, cdf_column: np.ndarray, u: np.ndarray) -> np.ndar
     return nodes[np.searchsorted(cdf_column, u, side="left")]
 
 
-def draw_base(table: InducedTable, rng: RngSeed, size: int | None = None):
-    """Inverse-transform draw(s) from the discretized base measure."""
-    return draw_induced(table, 0, rng, size)
-
-
 def draw_induced(
     table: InducedTable, degree: int, rng: RngSeed, size: int | None = None
 ):
-    """Inverse-transform draw(s) from the degree-``degree`` induced law."""
+    """Inverse-transform draw(s) from the degree-``degree`` induced law.
+
+    Degree 0 draws from the discretized base measure.
+    """
     if degree not in table.cdf:
         raise KeyError(f"table holds no induced law of degree {degree}")
     n = 1 if size is None else int(size)
@@ -169,14 +162,14 @@ def draw_induced(
 class MixturePlan:
     """Mixture decomposition of the optimal sampling measure.
 
-    Polynomial mode: one component per distinct scalar multi-index, drawn
-    coordinate-wise from the induced laws of its degrees.  Linear mode: one
-    component per distinct input mode, which redirects that single coordinate
-    to its induced law.  Component probabilities are multiplicities over the
-    full operator index set; under the tensor structure they are uniform.
+    One component per distinct scalar multi-index, a row of ``components``:
+    a draw from it takes coordinate ``j`` from the induced law of degree
+    ``components[c, j]``.  A linear basis has the one-hot rows of its input
+    modes, in input-mode order.  Component probabilities are multiplicities
+    over the full operator index set; under the tensor structure they are
+    uniform.
     """
 
-    mode: str
     components: np.ndarray
     probabilities: np.ndarray
 
@@ -184,8 +177,6 @@ class MixturePlan:
         probs = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "components", np.asarray(self.components))
-        if self.mode not in ("linear", "polynomial"):
-            raise ValueError(f"unknown mixture mode {self.mode!r}")
         if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("component probabilities must be a distribution")
 
@@ -193,16 +184,15 @@ class MixturePlan:
 def mixture_plan(basis) -> MixturePlan:
     """Optimal-measure mixture of a linear or polynomial operator basis."""
     if isinstance(basis, LinearRankOneBasis):
-        components, counts = np.unique(basis.input_modes, return_counts=True)
-        probabilities = counts * basis.d_out / basis.n_total
-        return MixturePlan("linear", components, probabilities)
-    if isinstance(basis, PolyOperatorBasis):
+        modes, counts = np.unique(basis.input_modes, return_counts=True)
+        components = np.eye(basis.d_in, dtype=int)[modes]
+    elif isinstance(basis, PolyOperatorBasis):
         components, counts = np.unique(
             basis.scalar_indices, axis=0, return_counts=True
         )
-        probabilities = counts * basis.d_out / basis.n_total
-        return MixturePlan("polynomial", components, probabilities)
-    raise TypeError(f"no mixture plan for basis type {type(basis).__name__}")
+    else:
+        raise TypeError(f"no mixture plan for basis type {type(basis).__name__}")
+    return MixturePlan(components, counts * basis.d_out / basis.n_total)
 
 
 def build_induced_tables(
@@ -215,19 +205,33 @@ def build_induced_tables(
     for feature evaluation.
     """
     d_in = len(measure)
-    degrees: list[set[int]] = [{0} for _ in range(d_in)]
-    if isinstance(basis, LinearRankOneBasis):
-        for j in basis.input_modes:
-            degrees[int(j)].add(1)
-    elif isinstance(basis, PolyOperatorBasis):
-        for j in range(d_in):
-            degrees[j].update(int(n) for n in np.unique(basis.scalar_indices[:, j]))
+    components = (
+        np.zeros((1, d_in), dtype=int)
+        if basis is None
+        else mixture_plan(basis).components
+    )
     tables = {}
     for j in range(d_in):
-        top = max(degrees[j])
-        family = build_family(measure.marginals[j], max(top, 1))
-        tables[j] = build_induced_table(family, degrees[j], order)
+        degrees = np.unique(components[:, j])
+        family = build_family(measure.marginals[j], max(int(degrees[-1]), 1))
+        tables[j] = build_induced_table(family, degrees, order)
     return tables
+
+
+def _draw_base(
+    tables: dict[int, InducedTable], rng: RngSeed, n_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform block and base-measure draws of ``n_samples`` inputs.
+
+    Row ``i`` of the block belongs to sample ``i``: column 0 is left for the
+    mixture component, column ``1 + j`` draws coordinate ``j``.
+    """
+    d_in = len(tables)
+    u = rng.uniform_block(n_samples, d_in + 1)
+    samples = np.empty((n_samples, d_in))
+    for j in range(d_in):
+        samples[:, j] = _invert(tables[j].nodes, tables[j].cdf[0], u[:, 1 + j])
+    return u, samples
 
 
 def _component_rows(component_idx: np.ndarray, n_components: int):
@@ -256,32 +260,16 @@ def sample_optimal(
     uniform block: column 0 selects the component, column ``1 + j``
     coordinate ``j``.
     """
-    d_in = len(tables)
-    u = rng.uniform_block(n_samples, d_in + 1)
+    u, samples = _draw_base(tables, rng, n_samples)
     cum = np.cumsum(plan.probabilities)
     cum[-1] = 1.0
     component_idx = np.searchsorted(cum, u[:, 0], side="left")
-    samples = np.empty((n_samples, d_in))
-
-    for j in range(d_in):
-        samples[:, j] = _invert(tables[j].nodes, tables[j].cdf[0], u[:, 1 + j])
-
-    if plan.mode == "linear":
-        for c, rows in _component_rows(component_idx, len(plan.components)):
-            j = int(plan.components[c])
+    for c, rows in _component_rows(component_idx, len(plan.components)):
+        degrees = plan.components[c]
+        for j in np.flatnonzero(degrees):
             samples[rows, j] = _invert(
-                tables[j].nodes, tables[j].cdf[1], u[rows, 1 + j]
+                tables[j].nodes, tables[j].cdf[int(degrees[j])], u[rows, 1 + j]
             )
-    else:
-        for c, rows in _component_rows(component_idx, len(plan.components)):
-            degrees = plan.components[c]
-            for j in range(d_in):
-                n = int(degrees[j])
-                if n != 0:
-                    samples[rows, j] = _invert(
-                        tables[j].nodes, tables[j].cdf[n], u[rows, 1 + j]
-                    )
-
     weights = np.atleast_1d(optimal_weight(basis, samples))
     return samples, weights
 
@@ -291,16 +279,11 @@ def sample_monte_carlo(
     rng: RngSeed,
     n_samples: int,
     tables: dict[int, InducedTable] | None = None,
-    order: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """I.i.d. draws from the (discretized) base product measure, unit weights."""
     if tables is None:
-        tables = build_induced_tables(measure, order=order)
-    d_in = len(tables)
-    u = rng.uniform_block(n_samples, d_in + 1)
-    samples = np.empty((n_samples, d_in))
-    for j in range(d_in):
-        samples[:, j] = _invert(tables[j].nodes, tables[j].cdf[0], u[:, 1 + j])
+        tables = build_induced_tables(measure)
+    _, samples = _draw_base(tables, rng, n_samples)
     return samples, np.ones(n_samples)
 
 

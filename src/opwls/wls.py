@@ -17,12 +17,11 @@ matrix; the Gram ``G = A^T A`` is formed only for diagnostics, where
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
-    "StabilityBudget",
     "WlsSystem",
     "GramSummary",
     "OperatorEstimate",
@@ -33,7 +32,6 @@ __all__ = [
     "solve",
     "truncate_output",
     "condition_estimator",
-    "predict",
 ]
 
 # Singular values below this times the largest are treated as zero.
@@ -61,27 +59,6 @@ def min_samples(n_eff: int, delta: float, epsilon: float) -> int:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     return int(math.ceil(c_delta(delta) * n_eff * math.log(2.0 * n_eff / epsilon)))
-
-
-@dataclass(frozen=True)
-class StabilityBudget:
-    """Sampling budget for a target spectral gap and failure probability."""
-
-    delta: float
-    epsilon: float
-    c_delta: float
-    m_min: int
-
-    @classmethod
-    def for_dimension(
-        cls, n_eff: int, delta: float = 0.5, epsilon: float = 0.5
-    ) -> "StabilityBudget":
-        return cls(
-            delta=delta,
-            epsilon=epsilon,
-            c_delta=c_delta(delta),
-            m_min=min_samples(n_eff, delta, epsilon),
-        )
 
 
 @dataclass(frozen=True)
@@ -174,7 +151,6 @@ class OperatorEstimate:
     basis: object
     rank: int
     residual_norm: float = 0.0
-    tau: float | None = None
     conditioned_out: bool = False
 
     @property
@@ -186,7 +162,9 @@ class OperatorEstimate:
         return int(self.coefficients.shape[1])
 
     def predict(self, fhat: np.ndarray) -> np.ndarray:
-        return predict(self, fhat)
+        """Features then coefficient application; batched over leading axis."""
+        phi = self.basis.scalar_features(fhat)
+        return np.asarray(phi) @ self.coefficients
 
 
 def solve(system: WlsSystem, basis=None) -> OperatorEstimate:
@@ -209,12 +187,6 @@ def solve(system: WlsSystem, basis=None) -> OperatorEstimate:
     )
 
 
-def predict(estimate: OperatorEstimate, fhat: np.ndarray) -> np.ndarray:
-    """Features then coefficient application; batched over leading axis."""
-    phi = estimate.basis.scalar_features(fhat)
-    return np.asarray(phi) @ estimate.coefficients
-
-
 def truncate_output(prediction: np.ndarray, tau: float) -> np.ndarray:
     """Radial clip of output coefficient vectors to norm at most ``tau``.
 
@@ -232,13 +204,6 @@ def truncate_output(prediction: np.ndarray, tau: float) -> np.ndarray:
     scale[oversized] = tau / norms[oversized]
     out = batch * scale[:, None]
     return out[0] if single else out
-
-
-def default_tau(training_outputs: np.ndarray) -> float:
-    """Data-driven truncation level: twice the largest training output norm."""
-    norms = np.linalg.norm(np.atleast_2d(training_outputs), axis=1)
-    top = float(norms.max(initial=0.0))
-    return 2.0 * top if top > 0.0 else 1.0
 
 
 def condition_estimator(

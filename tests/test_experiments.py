@@ -56,6 +56,12 @@ def tiny_burgers(tmp_path, **overrides):
     return ExperimentConfig(**params)
 
 
+KERNEL = {
+    "experiment": "poisson1d_kernel", "trials": 1, "n_test": 10,
+    "measure": {"alpha_rule": "squared_index", "d_in": 8}, "sweep": [2, 4],
+}
+
+
 def tiny_kernel(tmp_path, **overrides):
     params = dict(
         experiment="poisson1d_kernel",
@@ -69,6 +75,15 @@ def tiny_kernel(tmp_path, **overrides):
     )
     params.update(overrides)
     return ExperimentConfig(**params)
+
+
+def assert_rejected_without_files(tmp_path, document: dict, *args: str) -> None:
+    """``opwls run`` on ``document`` exits 2 and creates no output directory."""
+    never = tmp_path / "never"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**document, "out_dir": str(never)}))
+    assert main(["run", str(path), "--out", str(never), *args]) == 2
+    assert not never.exists()
 
 
 def stable_artifacts(out: Path) -> dict[str, bytes]:
@@ -360,24 +375,28 @@ class TestCli:
         assert record["error"] == "ConfigError"
 
     def test_wrongly_typed_field_exits_2_and_writes_nothing(self, tmp_path):
-        config = tiny_poisson2d(tmp_path, out_dir=str(tmp_path / "never"))
-        document = json.loads(config.to_json())
+        document = json.loads(tiny_poisson2d(tmp_path).to_json())
         document["trials"] = "3"
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(document))
-        assert main(["run", str(path)]) == 2
-        assert not (tmp_path / "never").exists()
+        assert_rejected_without_files(tmp_path, document)
 
     def test_kernel_sweep_beyond_d_in_exits_2_and_writes_nothing(self, tmp_path):
-        config = ExperimentConfig(
-            experiment="poisson1d_kernel", trials=1, n_test=10,
-            measure={"alpha_rule": "squared_index", "d_in": 4}, sweep=[2, 8],
-            out_dir=str(tmp_path / "never"),
-        )
-        path = tmp_path / "config.json"
-        path.write_text(config.to_json())
-        assert main(["run", str(path)]) == 2
-        assert not (tmp_path / "never").exists()
+        document = json.loads(tiny_kernel(tmp_path, sweep=[2, 8]).to_json())
+        document["measure"]["d_in"] = 4
+        assert_rejected_without_files(tmp_path, document)
+
+    @pytest.mark.parametrize(
+        "document, args",
+        [
+            ({"sweep": [4]}, ()),
+            (KERNEL, ("--preset", "discrete-demo")),
+            ({**KERNEL, "d_out": 100}, ()),
+            ({**KERNEL, "measure": {"alpha_rule": "squared_index", "d_in": 0}}, ()),
+        ],
+        ids=["missing_experiment", "config_and_preset", "d_out_beyond_d_in",
+             "d_in_zero"],
+    )
+    def test_rejected_run_exits_2_and_writes_nothing(self, tmp_path, document, args):
+        assert_rejected_without_files(tmp_path, document, *args)
 
     def test_missing_arguments_exit_2(self, capsys):
         assert main(["run"]) == 2

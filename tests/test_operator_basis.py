@@ -10,10 +10,8 @@ from opwls.operator_basis import (
     LinearRankOneBasis,
     PolyOperatorBasis,
     christoffel,
-    linear_features,
     monomial_operator_eval,
     optimal_weight,
-    scalar_features,
 )
 from opwls.sampling import RngSeed, sample_monte_carlo
 
@@ -51,7 +49,7 @@ class TestScalarFeatures:
     def test_out_of_support_warns(self):
         _, basis = small_poly_basis()
         with pytest.warns(RuntimeWarning, match="extrapolated"):
-            scalar_features(basis, np.array([1.5, 0.0]))
+            basis.scalar_features(np.array([1.5, 0.0]))
 
     def test_batch_matches_single(self):
         _, basis = small_poly_basis()
@@ -78,19 +76,19 @@ class TestLinearFeatures:
         basis = LinearRankOneBasis.from_measure(measure, [0, 2], d_out=2)
         fhat = np.zeros(3)
         fhat[2] = basis.sigmas[1]
-        assert linear_features(basis, fhat) == pytest.approx([0.0, 1.0], abs=0)
+        assert basis.scalar_features(fhat) == pytest.approx([0.0, 1.0], abs=0)
 
     def test_zero_input(self):
         measure = ProductMeasure.from_alphas([0.0, 1.0])
         basis = LinearRankOneBasis.from_measure(measure, [0, 1], d_out=1)
-        assert np.all(linear_features(basis, np.zeros(2)) == 0.0)
+        assert np.all(basis.scalar_features(np.zeros(2)) == 0.0)
 
     def test_unit_second_moments(self):
         measure = ProductMeasure.from_alphas([0.0, 2.0, 9.0])
         basis = LinearRankOneBasis.from_measure(measure, [0, 1, 2], d_out=1)
         n = 100_000
         x, _ = sample_monte_carlo(measure, RngSeed(21), n)
-        feats = linear_features(basis, x)
+        feats = basis.scalar_features(x)
         for j in range(3):
             sq = feats[:, j] ** 2
             assert_within_se(sq.mean(), 1.0, sq.std() / math.sqrt(n))

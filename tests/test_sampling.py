@@ -6,14 +6,17 @@ import pytest
 
 from opwls.index_sets import IndexSetSpec, generate
 from opwls.measures import ProductMeasure, UnivariateMeasure, build_family, gauss_rule
-from opwls.operator_basis import LinearRankOneBasis, PolyOperatorBasis
+from opwls.operator_basis import (
+    LinearRankOneBasis,
+    PolyOperatorBasis,
+    optimal_weight,
+)
 from opwls.sampling import (
     DiscreteFeatureBasis,
     RngSeed,
     build_discrete_plan,
     build_induced_table,
     build_induced_tables,
-    draw_base,
     draw_induced,
     mixture_plan,
     sample_discrete,
@@ -73,24 +76,26 @@ class TestUnivariateDraws:
     def test_u_zero_gives_first_node(self):
         fam = build_family(UnivariateMeasure(0.0), 2)
         table = build_induced_table(fam, {0, 1}, order=5)
-        assert draw_base(table, FixedUniforms()) == table.nodes[0]
+        assert draw_induced(table, 0, FixedUniforms()) == table.nodes[0]
 
     def test_base_moments(self):
         alpha = 1.0
         fam = build_family(UnivariateMeasure(alpha), 2)
         table = build_induced_table(fam, {0}, order=10)
         n = 100_000
-        draws = draw_base(table, RngSeed(5), size=n)
+        draws = draw_induced(table, 0, RngSeed(5), size=n)
         assert_within_se(draws.mean(), 0.0, draws.std() / math.sqrt(n))
         sq = draws**2
         assert_within_se(sq.mean(), 1 / (2 * alpha + 3), sq.std() / math.sqrt(n))
 
     def test_degree_zero_equals_base(self):
+        # inverse transform of the Gauss rule's cumulative weights
         fam = build_family(UnivariateMeasure(0.5), 2)
         table = build_induced_table(fam, {0, 1}, order=8)
-        a = draw_base(table, RngSeed(9), size=500)
-        b = draw_induced(table, 0, RngSeed(9), size=500)
-        assert np.array_equal(a, b)
+        rule = gauss_rule(fam, 8)
+        u = RngSeed(9).uniform_block(500, 1)[:, 0]
+        base = rule.nodes[np.searchsorted(np.cumsum(rule.weights), u)]
+        assert np.array_equal(draw_induced(table, 0, RngSeed(9), size=500), base)
 
     def test_uniform_degree_one_two_point_frequencies(self):
         fam = build_family(UnivariateMeasure(0.0), 1)
@@ -124,7 +129,6 @@ class TestMixturePlan:
                             gamma=np.ones(2), degree_cap=4)
         basis = PolyOperatorBasis.build(measure, generate(spec), d_out=3)
         plan = mixture_plan(basis)
-        assert plan.mode == "polynomial"
         assert plan.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         # tensor structure: every scalar index has multiplicity d_out
         assert np.allclose(plan.probabilities, 1.0 / basis.n_eff)
@@ -133,12 +137,53 @@ class TestMixturePlan:
         measure = ProductMeasure.from_alphas([0.0, 1.0])
         basis = LinearRankOneBasis.from_measure(measure, [1], d_out=4)
         plan = mixture_plan(basis)
-        assert plan.mode == "linear"
         assert plan.probabilities == pytest.approx([1.0])
-        assert list(plan.components) == [1]
+        # the degree-1 polynomial of mode 1: a one-hot degree row
+        assert plan.components.tolist() == [[0, 1]]
+
+
+def reference_sample_optimal(plan, tables, rng, n_samples):
+    """Row-by-row inverse transform: the component from ``u[i, 0]``, then
+    coordinate ``j`` from the induced law of its degree at ``u[i, 1 + j]``."""
+    d_in = len(tables)
+    u = rng.uniform_block(n_samples, d_in + 1)
+    cum = np.cumsum(plan.probabilities)
+    cum[-1] = 1.0
+    x = np.empty((n_samples, d_in))
+    for i in range(n_samples):
+        degrees = plan.components[np.searchsorted(cum, u[i, 0])]
+        for j in range(d_in):
+            column = tables[j].cdf[int(degrees[j])]
+            x[i, j] = tables[j].nodes[np.searchsorted(column, u[i, 1 + j])]
+    return x
+
+
+def linear_reference_basis():
+    measure = ProductMeasure.from_alphas([0.0, 1.0, 4.0, 9.0, 16.0])
+    return measure, LinearRankOneBasis.from_measure(measure, [3, 0, 2], d_out=2)
+
+
+def poly_reference_basis():
+    measure = ProductMeasure.from_alphas([0.0, 1.0, 4.0])
+    spec = IndexSetSpec(kind="hyperbolic_cross", radius=4.0,
+                        gamma=np.ones(3), degree_cap=5)
+    return measure, PolyOperatorBasis.build(measure, generate(spec), d_out=2)
 
 
 class TestSampleOptimal:
+    @pytest.mark.parametrize(
+        "make", [linear_reference_basis, poly_reference_basis],
+        ids=["linear", "polynomial"],
+    )
+    def test_matches_row_by_row_reference(self, make):
+        measure, basis = make()
+        tables = build_induced_tables(measure, basis)
+        plan = mixture_plan(basis)
+        x, w = sample_optimal(plan, tables, RngSeed(53), 500, basis)
+        reference = reference_sample_optimal(plan, tables, RngSeed(53), 500)
+        assert np.array_equal(x, reference)
+        assert np.array_equal(w, optimal_weight(basis, x))
+
     def test_singleton_zero_index(self):
         measure = ProductMeasure.from_alphas([0.0, 4.0])
         basis = PolyOperatorBasis.build(measure, np.zeros((1, 2), dtype=int), 2)

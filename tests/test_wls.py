@@ -18,15 +18,12 @@ from opwls.sampling import (
 )
 from opwls.wls import (
     GramSummary,
-    StabilityBudget,
     WlsSystem,
     assemble,
     c_delta,
     condition_estimator,
-    default_tau,
     gram_diagnostics,
     min_samples,
-    predict,
     solve,
     truncate_output,
 )
@@ -89,11 +86,6 @@ class TestMinSamples:
     def test_monotone_in_dimension(self):
         values = [min_samples(n, 0.5, 0.5) for n in range(1, 200)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_budget_fields(self):
-        budget = StabilityBudget.for_dimension(100, 0.5, 0.5)
-        assert budget.c_delta > 1.0
-        assert budget.m_min == 3906
 
 
 class TestAssemble:
@@ -245,7 +237,7 @@ class TestPredict:
                       targets=np.zeros((basis.n_eff, 3))),
             basis,
         )
-        assert np.abs(predict(est, x)).max() == 0.0
+        assert np.abs(est.predict(x)).max() == 0.0
 
     def test_constant_feature_gives_constant_output(self):
         measure = ProductMeasure.from_alphas([0.0])
@@ -253,7 +245,7 @@ class TestPredict:
         est = solve(
             WlsSystem(design=np.eye(1), targets=np.array([[2.0, -1.0]])), basis
         )
-        out = predict(est, np.array([[0.1], [0.8], [-0.9]]))
+        out = est.predict(np.array([[0.1], [0.8], [-0.9]]))
         assert np.allclose(out, [[2.0, -1.0]] * 3, atol=1e-14)
 
     def test_round_trip_on_training_inputs(self):
@@ -290,10 +282,6 @@ class TestTruncation:
         out = truncate_output(batch, 1.0)
         assert out[0] == pytest.approx([0.1, 0.0])
         assert np.linalg.norm(out[1]) == pytest.approx(1.0)
-
-    def test_default_tau_doubles_max_norm(self):
-        outs = np.array([[3.0, 4.0], [0.1, 0.0]])
-        assert default_tau(outs) == pytest.approx(10.0)
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
