@@ -315,22 +315,30 @@ def select_d_in(variances: np.ndarray, fraction: float) -> int:
     return int(np.searchsorted(cumulative, fraction) + 1)
 
 
+def _mode_count(spec: dict, key: str, default: int | None) -> int | None:
+    value = spec.get(key, default)
+    # bool is an Integral, but true/false is never a mode count
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, Integral) or value < 1
+    ):
+        raise ConfigError(f"{key} must be a positive integer, not {value!r}")
+    return value
+
+
 def build_measure(config: ExperimentConfig) -> tuple[ProductMeasure, np.ndarray | None]:
     """Measure over input modes plus the 2-D mode list when applicable."""
     spec = config.measure
     rule = spec.get("alpha_rule", "squared_index")
     if rule == "l1_cubed":
-        max_mode = int(spec.get("max_mode", 10))
-        modes = sine_modes_2d(max_mode, config.mode_order)
+        modes = sine_modes_2d(_mode_count(spec, "max_mode", 10), config.mode_order)
         alphas = np.sum(modes, axis=1).astype(float) ** 3
         return ProductMeasure.from_alphas(alphas), modes
     if rule == "squared_index":
-        d_in = spec.get("d_in")
+        d_in = _mode_count(spec, "d_in", None)
         if d_in is None:
             universe = np.arange(1, 4097)
             d_in = select_d_in(1.0 / (2.0 * universe**2 + 3.0), config.energy_target)
-        # d_in <= 0 leaves no marginal, which ProductMeasure rejects
-        alphas = np.arange(1, int(d_in) + 1, dtype=float) ** 2
+        alphas = np.arange(1, d_in + 1, dtype=float) ** 2
         return ProductMeasure.from_alphas(alphas), None
     if rule == "explicit":
         alphas = np.asarray(spec["alphas"], dtype=float)

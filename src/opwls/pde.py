@@ -3,11 +3,14 @@ r"""Desk-scale ground-truth operators and dataset construction.
 Poisson problems are solved exactly in the sine eigenbasis; viscous Burgers
 is advanced by a first-order IMEX Euler scheme (implicit viscosity, explicit
 pseudospectral flux) on an oversampled interior grid.  The flux is taken in
-conservative form, ``u u_x = (u^2 / 2)_x``: one sine synthesis of ``u`` and
-one cosine analysis of ``u^2 / 2`` per step.  On a grid of at least
-``2 d_solve`` interior points the projection is exact, so it equals the
-Galerkin flux up to roundoff.  All solvers are pure functions of (input
-coefficients, configuration).
+conservative form, ``u u_x = (u^2 / 2)_x``: per step, a sine synthesis of
+``u`` on the grid and a cosine analysis of ``u^2 / 2``.  Each of the two is
+split over the even and the odd grid points, so a step runs four
+half-length transforms (DST-I, DST-III, DCT-I, DCT-II) in place of one
+full-length DST-I and DCT-I; the split needs an odd ``grid_size``.  On a grid
+of at least ``2 d_solve`` interior points the projection is exact, so it
+equals the Galerkin flux up to roundoff.  All solvers are pure functions of
+(input coefficients, configuration).
 
 :func:`build_dataset` runs Burgers solves on every core available to the
 process, one contiguous block of rows per thread.  Rows are independent, so
@@ -28,6 +31,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
+from numbers import Integral
 
 import numpy as np
 from scipy import fft as _fft
@@ -138,7 +142,8 @@ class BurgersConfig:
     ``d_solve`` must exceed ``10 max(d_in, d_out)`` (anti-aliasing headroom
     for the quantities of interest); ``grid_size`` interior points realize
     the pseudospectral products, alias-free for quadratic terms whenever
-    ``grid_size >= 2 d_solve``.
+    ``grid_size >= 2 d_solve``.  ``grid_size`` must be odd: the solver splits
+    its ``grid_size + 1`` intervals into even and odd grid points.
     """
 
     viscosity: float
@@ -150,6 +155,11 @@ class BurgersConfig:
     d_out: int
 
     def __post_init__(self) -> None:
+        for name in ("d_solve", "grid_size"):
+            value = getattr(self, name)
+            # bool is an Integral, but true/false is never a size
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.viscosity <= 0.0:
             raise ValueError("viscosity must be positive")
         if self.final_time <= 0.0 or self.dt <= 0.0:
@@ -161,6 +171,8 @@ class BurgersConfig:
             )
         if self.grid_size < 2 * self.d_solve:
             raise ValueError("grid_size must be at least 2 * d_solve")
+        if self.grid_size % 2 == 0:
+            raise ValueError(f"grid_size must be odd ({self.grid_size})")
 
     @classmethod
     def create(
@@ -209,17 +221,30 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
 
         fluxhat_j = <w_x, sqrt(2) sin(j pi x)> = -j pi <w, sqrt(2) cos(j pi x)>.
 
-    Per step: one DST-I synthesizes ``u`` on the ``grid_size`` interior
-    points, the grid values are squared, one DCT-I over the grid and its two
-    zero end points projects ``w`` onto cosines, and the implicit viscous
-    update follows:
+    Per step, ``u`` is synthesized on the ``grid_size`` interior points
+    ``x_i = i / L``, the grid values are squared, ``w`` is projected onto
+    cosines by the trapezoid rule over ``L = grid_size + 1`` intervals, and
+    the implicit viscous update follows:
 
         uhat <- (uhat - dt * fluxhat) / (1 + dt * nu * pi^2 j^2).
+
+    Both transforms are split over the even and the odd grid points, with
+    ``L = 2 h`` (``grid_size`` must be odd).  On the even points ``i = 2 i'``,
+    ``sin(j pi i / L) = sin(j pi i' / h)``, so ``u`` there is a DST-I of
+    length ``h - 1``; on the odd points ``i = 2 i' + 1`` it is a DST-III of
+    length ``h`` over the same coefficients, zero-padded to ``h`` columns.
+    An odd ``grid_size >= 2 d_solve`` gives ``d_solve <= h - 1``, which
+    keeps every mode inside both.  The analysis sum over ``i = 1 .. L - 1``
+    splits the same way: a DCT-I of length ``h + 1`` over the even squares
+    between two zero end points, plus a DCT-II of length ``h`` over the odd
+    squares.  All four transforms carry scipy's factor 2, as the full-length
+    DST-I and DCT-I of the same sums do.
 
     The projection is exact, not merely alias-free: ``w cos(j pi x)`` has
     cosine modes up to ``3 d_solve``, and the trapezoid rule on
     ``grid_size + 1`` intervals integrates ``cos(l pi x)`` exactly for every
     ``l < 2 (grid_size + 1)``, which ``grid_size >= 2 d_solve`` guarantees.
+    The split only regroups the terms of that sum, so it stays exact.
 
     Rows are independent, so any split of the batch gives bitwise identical
     rows.  Returns all ``d_solve`` coefficients at the final time; callers
@@ -229,26 +254,36 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
     if u0.shape[1] > config.d_solve:
         raise ValueError("initial coefficients exceed the solver dimension")
     m, d, p = u0.shape[0], config.d_solve, config.grid_size
-    # DST-I input: the state occupies the first d columns, the rest stay 0
-    padded = np.zeros((m, p))
-    padded[:, : u0.shape[1]] = u0
-    state = padded[:, :d]
-    # DCT-I input: u^2 on the interior points, u = 0 at both ends
-    squares = np.zeros((m, p + 2))
+    h = (p + 1) // 2
+    # synthesis input: the state occupies the first d columns, the rest
+    # stay 0; the DST-III reads all h columns, the DST-I the first h - 1
+    coef = np.zeros((m, h))
+    coef[:, : u0.shape[1]] = u0
+    state = coef[:, :d]
+    # analysis inputs: u^2 on the even points between the two zero end
+    # points, and u^2 on the odd points
+    even = np.zeros((m, h + 1))
+    odd = np.empty((m, h))
 
     j = np.arange(1, d + 1, dtype=float)
     damp = 1.0 / (1.0 + config.dt * config.viscosity * np.pi**2 * j**2)
-    # the DST-I returns sqrt(2) u, so its square is 4 w; the DCT-I sum over
-    # the grid is 2 (grid_size + 1) / sqrt(2) times the cosine coefficient
+    # the synthesis returns sqrt(2) u, so its square is 4 w; the analysis
+    # sum over the grid is 2 (grid_size + 1) / sqrt(2) times the cosine
+    # coefficient
     flux_scale = config.dt * j * np.pi / (4.0 * math.sqrt(2.0) * (p + 1))
     n_steps = int(round(config.final_time / config.dt))
 
-    for _ in range(n_steps):
-        np.square(_fft.dst(padded, type=1, axis=1), out=squares[:, 1:-1])
-        state += flux_scale * _fft.dct(squares, type=1, axis=1)[:, 1 : d + 1]
-        state *= damp
-        if not np.all(np.isfinite(state)):
-            raise BlowUpError("non-finite Burgers state; reduce dt or amplitudes")
+    # a blow-up overflows the squares first; the finiteness check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            np.square(_fft.dst(coef[:, : h - 1], type=1, axis=1), out=even[:, 1:h])
+            np.square(_fft.dst(coef, type=3, axis=1), out=odd)
+            flux = _fft.dct(even, type=1, axis=1)[:, 1 : d + 1]
+            flux += _fft.dct(odd, type=2, axis=1)[:, 1 : d + 1]
+            state += flux_scale * flux
+            state *= damp
+            if not np.all(np.isfinite(state)):
+                raise BlowUpError("non-finite Burgers state; reduce dt or amplitudes")
     return state.copy()
 
 

@@ -60,6 +60,10 @@ KERNEL = {
     "experiment": "poisson1d_kernel", "trials": 1, "n_test": 10,
     "measure": {"alpha_rule": "squared_index", "d_in": 8}, "sweep": [2, 4],
 }
+BURGERS = {
+    "experiment": "burgers", "trials": 1, "n_test": 4, "d_out": 3,
+    "measure": {"alpha_rule": "squared_index", "d_in": 3}, "sweep": [1],
+}
 
 
 def tiny_kernel(tmp_path, **overrides):
@@ -391,9 +395,20 @@ class TestCli:
             (KERNEL, ("--preset", "discrete-demo")),
             ({**KERNEL, "d_out": 100}, ()),
             ({**KERNEL, "measure": {"alpha_rule": "squared_index", "d_in": 0}}, ()),
+            ({**BURGERS, "solver": {"grid_size": 1023.0}}, ()),
+            ({**BURGERS, "solver": {"d_solve": 255.0}}, ()),
+            ({**BURGERS, "solver": {"grid_size": 1024}}, ()),
+            *[
+                ({**KERNEL, "sweep": [1],
+                  "measure": {"alpha_rule": "squared_index", "d_in": d_in}}, ())
+                for d_in in (True, 2.7, "8")
+            ],
+            ({"experiment": "poisson2d", "trials": 1, "n_test": 10, "sweep": [2],
+              "measure": {"alpha_rule": "l1_cubed", "max_mode": 2.9}}, ()),
         ],
         ids=["missing_experiment", "config_and_preset", "d_out_beyond_d_in",
-             "d_in_zero"],
+             "d_in_zero", "float_grid_size", "float_d_solve", "even_grid_size",
+             "bool_d_in", "float_d_in", "string_d_in", "float_max_mode"],
     )
     def test_rejected_run_exits_2_and_writes_nothing(self, tmp_path, document, args):
         assert_rejected_without_files(tmp_path, document, *args)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from opwls import pde
 from opwls.pde import (
@@ -127,6 +128,8 @@ class TestBurgersConfig:
             BurgersConfig.create(viscosity=0.1, d_in=3, d_out=3, grid_size=40)
         with pytest.raises(ValueError):
             BurgersConfig.create(viscosity=-1.0, d_in=3, d_out=3)
+        with pytest.raises(ValueError):
+            BurgersConfig.create(viscosity=0.1, d_in=3, d_out=3, grid_size=64)
 
 
 class TestBurgersSolver:
@@ -179,6 +182,44 @@ class TestBurgersSolver:
             state = (state - cfg.dt * flux) * damp
         assert np.abs(fast - state).max() <= 1e-12
 
+    @staticmethod
+    def full_grid_evolve(u0, cfg):
+        # reference: the step on full-grid transforms, one DST-I over the
+        # grid_size interior points and one DCT-I over the grid and its two
+        # zero end points
+        m, d, p = u0.shape[0], cfg.d_solve, cfg.grid_size
+        padded = np.zeros((m, p))
+        padded[:, : u0.shape[1]] = u0
+        state = padded[:, :d]
+        squares = np.zeros((m, p + 2))
+        j = np.arange(1, d + 1)
+        damp = 1.0 / (1.0 + cfg.dt * cfg.viscosity * math.pi**2 * j**2)
+        flux_scale = cfg.dt * j * math.pi / (4.0 * math.sqrt(2.0) * (p + 1))
+        for _ in range(int(round(cfg.final_time / cfg.dt))):
+            squares[:, 1:-1] = fft.dst(padded, type=1, axis=1) ** 2
+            state += flux_scale * fft.dct(squares, type=1, axis=1)[:, 1 : d + 1]
+            state *= damp
+        return state
+
+    @pytest.mark.parametrize(
+        "grid_size", [None, 2 * (2 * 511 + 1) + 1], ids=["default", "doubled"]
+    )
+    def test_split_transforms_match_full_grid(self, grid_size):
+        # the paper's solver size for 50 steps, on criterion 6's input
+        # amplitudes; on the doubled grid the even half has more columns
+        # (h - 1 = 1023) than modes (d_solve = 511)
+        cfg = BurgersConfig.create(
+            viscosity=0.1, final_time=50 * 1e-4, dt=1e-4, d_in=8, d_out=48,
+            grid_size=grid_size,
+        )
+        assert cfg.d_solve == 511
+        u0 = np.random.default_rng(13).uniform(-1.0, 1.0, (16, 8))
+        split = burgers_evolve(u0, cfg)
+        full = self.full_grid_evolve(u0, cfg)
+        # 1e-14 relative to each row's largest coefficient
+        scale = np.abs(full).max(axis=1, keepdims=True)
+        assert np.all(np.abs(split - full) <= 1e-14 * scale)
+
     def test_dealiasing_grid_insensitivity(self):
         # doubling the oversampled grid beyond the default must not change
         # the solution: the default grid is already alias-free
@@ -209,6 +250,7 @@ class TestBurgersSolver:
             norms.append(np.linalg.norm(state))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
+    @pytest.mark.filterwarnings("error")
     def test_blow_up_detection(self):
         cfg = small_burgers(nu=1e-9, T=10.0, dt=0.5)
         with pytest.raises(BlowUpError):
@@ -296,6 +338,7 @@ class TestBurgersFanOut:
         ds = build_dataset(x, np.ones(11), "burgers", burgers_config=cfg, d_out=2)
         assert np.array_equal(ds.outputs, self.row_by_row(x, cfg)[:, :2])
 
+    @pytest.mark.filterwarnings("error")
     def test_blow_up_in_worker_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(pde, "solver_threads", lambda: 2)
         cfg = small_burgers(nu=1e-9, T=10.0, dt=0.5)
