@@ -3,7 +3,7 @@
 Usage::
 
     opwls run (<config.json> | --preset NAME) [--seed N] [--out DIR]
-              [--trials N] [--sampling optimal|monte-carlo]
+              [--trials N] [--sampling optimal|monte-carlo|both]
 
 A preset stands in for the config file; giving both is a validation error.
 Explicit flags override either.

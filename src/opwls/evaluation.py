@@ -94,8 +94,7 @@ class ErrorReport:
     ratio-of-means form (absent when the reference energy vanishes), and
     ``mean_of_ratios`` the average of per-sample relative squared errors
     (absent when any reference norm vanishes) -- both conventions for an
-    "average relative error" are reported and labeled.  ``gram`` and
-    ``config_hash`` tie the report back to the fit that produced it.
+    "average relative error" are reported and labeled.
     """
 
     absolute: float
@@ -104,41 +103,6 @@ class ErrorReport:
     quantiles: dict = field(default_factory=dict)
     n_samples: int = 0
     alpha: float = 0.0
-    gram: object | None = None
-    config_hash: str | None = None
-
-    @property
-    def rmse(self) -> float:
-        return math.sqrt(self.absolute)
-
-    @property
-    def relative_rmse(self) -> float | None:
-        return None if self.relative is None else math.sqrt(self.relative)
-
-    def with_context(self, gram=None, config_hash=None) -> "ErrorReport":
-        from dataclasses import replace
-
-        return replace(self, gram=gram, config_hash=config_hash)
-
-    def as_dict(self) -> dict:
-        """JSON-ready form with full quantile detail."""
-        gram = self.gram
-        return {
-            "absolute": self.absolute,
-            "relative": self.relative,
-            "mean_of_ratios": self.mean_of_ratios,
-            "quantiles": {str(k): v for k, v in self.quantiles.items()},
-            "n_samples": self.n_samples,
-            "alpha": self.alpha,
-            "gram": None
-            if gram is None
-            else {
-                "spectral_gap": gram.spectral_gap,
-                "condition": gram.condition,
-                "block_size": gram.block_size,
-            },
-            "config_hash": self.config_hash,
-        }
 
 
 def empirical_bochner_error(

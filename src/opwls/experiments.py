@@ -106,6 +106,57 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; nothing is written."""
 
 
+def check_fields(obj, prefix: str = "") -> None:
+    """Raise :class:`ConfigError` unless each field of ``obj`` fits its annotation."""
+    for name, hint in get_type_hints(type(obj)).items():
+        kinds = tuple(_NUMBER_KINDS.get(k, k) for k in get_args(hint) or (hint,))
+        value = getattr(obj, name)
+        # bool is an Integral, but true/false is never a number
+        if not isinstance(value, kinds) or (
+            isinstance(value, bool) and bool not in kinds
+        ):
+            raise ConfigError(f"{prefix}{name} has the wrong type: {value!r}")
+
+
+@dataclass(frozen=True)
+class MeasureSection:
+    """``measure``: the input modes and their variances.
+
+    ``alpha_rule`` ``"l1_cubed"`` takes ``max_mode``^2 mode pairs,
+    ``"squared_index"`` ``d_in`` modes (``None``: the fewest that hold
+    ``energy_target`` of the variance), ``"explicit"`` the ``alphas``.
+    """
+
+    alpha_rule: str = "squared_index"
+    d_in: int | None = None
+    max_mode: int = 10
+    alphas: list | None = None
+
+
+@dataclass(frozen=True)
+class IndexSetSection:
+    """``index_set``: anisotropy weights by ``gamma_rule``, and the degree cap."""
+
+    gamma_rule: str = "uniform"
+    gamma_step: float = 0.99 / 20.0
+    degree_cap: int = 10
+
+
+@dataclass(frozen=True)
+class SolverSection:
+    """``solver``: Burgers settings; ``None`` takes the ``BurgersConfig`` rule."""
+
+    viscosity: float = 0.1
+    final_time: float = 0.2
+    dt: float | None = None
+    d_solve: int | None = None
+    grid_size: int | None = None
+
+
+SECTIONS = {"measure": MeasureSection, "index_set": IndexSetSection,
+            "solver": SolverSection}
+
+
 @dataclass
 class ExperimentConfig:
     """Single JSON-document configuration of one experiment run."""
@@ -118,6 +169,7 @@ class ExperimentConfig:
     trials: int = 3
     n_test: int = 200
     out_dir: str = "runs/out"
+    # hashed as written, so unset keys stay out; section() adds the defaults
     measure: dict = field(default_factory=dict)
     index_set: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
@@ -131,16 +183,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ConfigError("config document must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
-            return cls(**data)
-        except TypeError as exc:  # a required field is missing
+            return cls(**json.loads(text))
+        except TypeError as exc:  # not an object, an unknown field, a missing one
             raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:
@@ -157,20 +202,24 @@ class ExperimentConfig:
         text = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(text).hexdigest()[:16]
 
+    def section(self, name: str):
+        """Section ``name`` as its :data:`SECTIONS` class, defaults filled in."""
+        try:
+            parsed = SECTIONS[name](**getattr(self, name))
+        except TypeError as exc:  # an unknown key
+            raise ConfigError(f"{name}: {exc}") from exc
+        check_fields(parsed, f"{name}.")
+        return parsed
+
     def validate(self) -> None:
         """Check field types and every per-experiment range.
 
         Runs before anything is written, so a config that fails here leaves
         no files behind.
         """
-        for name, hint in get_type_hints(type(self)).items():
-            kinds = tuple(_NUMBER_KINDS.get(k, k) for k in get_args(hint) or (hint,))
-            value = getattr(self, name)
-            # bool is an Integral, but true/false is never a count
-            if not isinstance(value, kinds) or (
-                isinstance(value, bool) and bool not in kinds
-            ):
-                raise ConfigError(f"{name} has the wrong type: {value!r}")
+        check_fields(self)
+        for name in SECTIONS:
+            self.section(name)
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.sampling not in ("optimal", "monte_carlo", "both"):
@@ -196,7 +245,7 @@ class ExperimentConfig:
             raise ConfigError("mode_order must be 'row' or 'column'")
         try:
             measure, modes = build_measure(self)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid measure {self.measure!r}: {exc}") from exc
         d_in = len(measure)
         if self.experiment == "poisson2d" and modes is None:
@@ -211,11 +260,14 @@ class ExperimentConfig:
             if (self.d_out or 0) > d_in:
                 raise ConfigError(f"d_out={self.d_out} exceeds the {d_in} modes")
         if self.experiment in ("burgers", "discrete_demo"):
-            build_gamma(self, d_in)
+            try:
+                cross_spec(self, d_in, self.sweep[0])
+            except ValueError as exc:
+                raise ConfigError(f"invalid index_set {self.index_set}: {exc}") from exc
         if self.experiment == "burgers":
             try:
                 burgers_solver(self, d_in)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"invalid solver {self.solver!r}: {exc}") from exc
 
     def samplers(self) -> tuple[str, ...]:
@@ -315,59 +367,48 @@ def select_d_in(variances: np.ndarray, fraction: float) -> int:
     return int(np.searchsorted(cumulative, fraction) + 1)
 
 
-def _mode_count(spec: dict, key: str, default: int | None) -> int | None:
-    value = spec.get(key, default)
-    # bool is an Integral, but true/false is never a mode count
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, Integral) or value < 1
-    ):
-        raise ConfigError(f"{key} must be a positive integer, not {value!r}")
-    return value
-
-
 def build_measure(config: ExperimentConfig) -> tuple[ProductMeasure, np.ndarray | None]:
     """Measure over input modes plus the 2-D mode list when applicable."""
-    spec = config.measure
-    rule = spec.get("alpha_rule", "squared_index")
-    if rule == "l1_cubed":
-        modes = sine_modes_2d(_mode_count(spec, "max_mode", 10), config.mode_order)
+    spec = config.section("measure")
+    if spec.alpha_rule == "l1_cubed":
+        modes = sine_modes_2d(spec.max_mode, config.mode_order)
         alphas = np.sum(modes, axis=1).astype(float) ** 3
         return ProductMeasure.from_alphas(alphas), modes
-    if rule == "squared_index":
-        d_in = _mode_count(spec, "d_in", None)
+    if spec.alpha_rule == "squared_index":
+        d_in = spec.d_in
         if d_in is None:
             universe = np.arange(1, 4097)
             d_in = select_d_in(1.0 / (2.0 * universe**2 + 3.0), config.energy_target)
         alphas = np.arange(1, d_in + 1, dtype=float) ** 2
         return ProductMeasure.from_alphas(alphas), None
-    if rule == "explicit":
-        alphas = np.asarray(spec["alphas"], dtype=float)
+    if spec.alpha_rule == "explicit":
+        alphas = np.asarray(spec.alphas, dtype=float)
         return ProductMeasure.from_alphas(alphas), None
-    raise ConfigError(f"unknown alpha rule {rule!r}")
+    raise ConfigError(f"unknown alpha rule {spec.alpha_rule!r}")
 
 
-def build_gamma(config: ExperimentConfig, d_in: int) -> np.ndarray:
-    rule = config.index_set.get("gamma_rule", "uniform")
-    if rule == "uniform":
-        return np.ones(d_in)
-    if rule == "linear_decay":
-        step = config.index_set.get("gamma_step", 0.99 / 20.0)
-        gamma = 1.0 - (np.arange(d_in)) * step
-        if np.any(gamma <= 0.0):
-            raise ConfigError("linear_decay gamma reached zero; reduce d_in or step")
-        return gamma
-    raise ConfigError(f"unknown gamma rule {rule!r}")
+def cross_spec(config: ExperimentConfig, d_in: int, k) -> IndexSetSpec:
+    """Hyperbolic cross of radius ``k`` over ``d_in`` modes, per ``index_set``."""
+    spec = config.section("index_set")
+    if spec.gamma_rule == "uniform":
+        gamma = np.ones(d_in)
+    elif spec.gamma_rule == "linear_decay":
+        gamma = 1.0 - np.arange(d_in) * spec.gamma_step
+    else:
+        raise ConfigError(f"unknown gamma rule {spec.gamma_rule!r}")
+    return IndexSetSpec(
+        kind="hyperbolic_cross", radius=float(k), gamma=gamma,
+        degree_cap=spec.degree_cap,
+    )
 
 
 def burgers_solver(config: ExperimentConfig, d_in: int) -> BurgersConfig:
+    spec = config.section("solver")
+    # a JSON integer such as "final_time": 1 enters the provenance as 1.0
     return BurgersConfig.create(
-        viscosity=float(config.solver.get("viscosity", 0.1)),
-        final_time=float(config.solver.get("final_time", 0.2)),
-        d_in=d_in,
-        d_out=config.d_out or 48,
-        dt=config.solver.get("dt"),
-        d_solve=config.solver.get("d_solve"),
-        grid_size=config.solver.get("grid_size"),
+        viscosity=float(spec.viscosity), final_time=float(spec.final_time),
+        d_in=d_in, d_out=config.d_out or 48,
+        dt=spec.dt, d_solve=spec.d_solve, grid_size=spec.grid_size,
     )
 
 
@@ -555,16 +596,6 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
 # experiments
 
 
-def cross_basis(config: ExperimentConfig, measure, k, d_out: int) -> PolyOperatorBasis:
-    """Polynomial operator basis on the hyperbolic cross of radius ``k``."""
-    spec = IndexSetSpec(
-        kind="hyperbolic_cross", radius=float(k),
-        gamma=build_gamma(config, len(measure)),
-        degree_cap=int(config.index_set.get("degree_cap", 10)),
-    )
-    return PolyOperatorBasis.build(measure, generate(spec), d_out)
-
-
 def poisson_spec(config: ExperimentConfig) -> FitSpec:
     """Rank-one fits on the first ``N_eff`` input modes, ``M`` from the certificate."""
     measure, modes = build_measure(config)
@@ -602,7 +633,8 @@ def burgers_spec(config: ExperimentConfig) -> FitSpec:
     solver = burgers_solver(config, len(measure))
 
     def entry(k) -> tuple:
-        basis = cross_basis(config, measure, k, solver.d_out)
+        indices = generate(cross_spec(config, len(measure), k))
+        basis = PolyOperatorBasis.build(measure, indices, solver.d_out)
         n_eff = basis.n_eff
         return k, basis, math.ceil(n_eff * math.log(max(n_eff, 2))), [k]
 
@@ -661,7 +693,8 @@ def discrete_demo(config: ExperimentConfig, out: Path | None = None) -> list[lis
     output_modes = np.arange(1, d_out + 1)
     rows = []
     for k in config.sweep:
-        ref_basis = cross_basis(config, measure, k, d_out)
+        indices = generate(cross_spec(config, len(measure), k))
+        ref_basis = PolyOperatorBasis.build(measure, indices, d_out)
 
         def raw_features(x, _b=ref_basis):
             return _b.scalar_features(x, warn_extrapolation=False)

@@ -164,6 +164,9 @@ class BurgersConfig:
             raise ValueError("viscosity must be positive")
         if self.final_time <= 0.0 or self.dt <= 0.0:
             raise ValueError("final_time and dt must be positive")
+        steps = self.final_time / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"final_time / dt = {steps!r} is not a whole number")
         if self.d_solve <= 10 * max(self.d_in, self.d_out):
             raise ValueError(
                 "d_solve must exceed 10 * max(d_in, d_out) "

@@ -130,6 +130,22 @@ class TestConfig:
         for name, params in PRESETS.items():
             ExperimentConfig(**params).validate()
 
+    def test_preset_hashes_pinned(self):
+        # sections are hashed as written, so filling in their defaults
+        # must not move any preset's config hash or dataset keys
+        hashes = {
+            name: ExperimentConfig(**params).content_hash()
+            for name, params in PRESETS.items()
+        }
+        assert hashes == {
+            "poisson2d-paper": "b2385e825fd62de5",
+            "poisson1d-kernel": "c291abdc443d5273",
+            "burgers-nu01": "49a8abe81bf79428",
+            "burgers-nu001": "65cb8645f96e87c7",
+            "discrete-demo": "9394441ecdfc9647",
+            "complexity-sweep": "acc8997f46e5a7a5",
+        }
+
 
 class TestSelectDin:
     def test_prefix_rule(self):
@@ -405,13 +421,36 @@ class TestCli:
             ],
             ({"experiment": "poisson2d", "trials": 1, "n_test": 10, "sweep": [2],
               "measure": {"alpha_rule": "l1_cubed", "max_mode": 2.9}}, ()),
+            ({**BURGERS, "solver": {"dt": True}}, ()),
+            ({**BURGERS, "solver": {"viscosity": True}}, ()),
+            ({**BURGERS, "solver": {"final_time": "0.2"}}, ()),
+            ({**BURGERS, "solver": {"final_time": 0.00015, "dt": 1e-4}}, ()),
+            ({**BURGERS, "solver": {"viscocity": 0.01}}, ()),
+            ({**BURGERS, "index_set": {"gama_rule": "linear_decay"}}, ()),
+            ({**BURGERS, "index_set": {"degree_cap": 2.5}}, ()),
+            ({**BURGERS, "index_set": {"degree_cap": True}}, ()),
+            ({**BURGERS, "index_set": {"degree_cap": -1}}, ()),
+            ({**BURGERS,
+              "index_set": {"gamma_rule": "linear_decay", "gamma_step": "x"}}, ()),
+            ({**KERNEL, "measure": {"alpha_rule": "squared_index", "d_inn": 8}}, ()),
         ],
         ids=["missing_experiment", "config_and_preset", "d_out_beyond_d_in",
              "d_in_zero", "float_grid_size", "float_d_solve", "even_grid_size",
-             "bool_d_in", "float_d_in", "string_d_in", "float_max_mode"],
+             "bool_d_in", "float_d_in", "string_d_in", "float_max_mode",
+             "solver_dt_true", "solver_viscosity_true", "solver_final_time_string",
+             "solver_steps_not_whole", "solver_unknown_key", "index_set_unknown_key",
+             "degree_cap_float", "degree_cap_true", "degree_cap_negative",
+             "gamma_step_string", "measure_unknown_key"],
     )
     def test_rejected_run_exits_2_and_writes_nothing(self, tmp_path, document, args):
         assert_rejected_without_files(tmp_path, document, *args)
+
+    def test_mistyped_section_key_is_named(self, tmp_path, capsys):
+        assert_rejected_without_files(tmp_path, {**BURGERS, "solver": {"dt": "1e-4"}})
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "solver.dt" in record["message"]
+        assert "'<='" not in record["message"]
 
     def test_missing_arguments_exit_2(self, capsys):
         assert main(["run"]) == 2

@@ -130,6 +130,10 @@ class TestBurgersConfig:
             BurgersConfig.create(viscosity=-1.0, d_in=3, d_out=3)
         with pytest.raises(ValueError):
             BurgersConfig.create(viscosity=0.1, d_in=3, d_out=3, grid_size=64)
+        with pytest.raises(ValueError):
+            BurgersConfig.create(
+                viscosity=0.1, final_time=0.00015, dt=1e-4, d_in=3, d_out=3
+            )
 
 
 class TestBurgersSolver:
