@@ -67,8 +67,10 @@ class SobolevWeighting:
 
 
 def scale_outputs(outputs: np.ndarray, weighting: SobolevWeighting) -> np.ndarray:
-    """Pre-scale output columns by ``sqrt(omega)`` (weighted-basis encoding)."""
-    return np.asarray(outputs, dtype=float) * np.sqrt(weighting.weights)
+    """Pre-scale columns by ``sqrt(omega)``; unit weights return ``outputs`` as is."""
+    outputs = np.asarray(outputs, dtype=float)
+    flat = np.all(weighting.weights == 1.0)
+    return outputs if flat else outputs * np.sqrt(weighting.weights)
 
 
 def unscale_outputs(outputs: np.ndarray, weighting: SobolevWeighting) -> np.ndarray:

@@ -9,17 +9,20 @@ Each experiment reproduces one of the studies at desk scale:
   over a hyperbolic-cross radius sweep;
 * ``discrete_demo`` -- leverage-score sampling on a synthetic correlated
   point cloud, with Sobolev-weighted error reporting;
-* ``complexity_sweep`` -- assemble vs. solve wall-time table.
+* ``complexity_sweep`` -- polynomial fits of a smooth map whose
+  ``timings.csv`` compares assembly with the solve.
 
-The three PDE experiments share one fitting loop, :func:`fit_sweep`, driven
-by a per-experiment :class:`FitSpec`; every training and test set it uses is
-cached losslessly under ``dataset/`` by :func:`cached_dataset`.
+All five share one fitting loop, :func:`fit_sweep`, driven by a
+per-experiment :class:`FitSpec`; every training and test set it uses is
+cached losslessly under ``dataset/`` by :func:`cached_dataset`, and the wall
+time of each fit's stages goes to ``timings.csv``.
 
 Runs are deterministic: every random draw is seeded by a hash of the master
 seed and the draw's role, so outputs are byte-identical across repeats and
 independent of execution order.  Trials execute sequentially; because each
 trial owns an independent substream, a worker pool would produce the same
-artifacts.  Timestamps appear only in the manifest.
+artifacts.  Timestamps and wall times appear only in the manifest and
+``timings.csv``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cache, partial
+from itertools import product
 from numbers import Integral, Real
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -56,6 +60,7 @@ from .pde import (
     BurgersConfig,
     DataSet,
     build_dataset,
+    content_hash,
     greens_kernel,
     sine_modes_2d,
     solver_threads,
@@ -70,12 +75,7 @@ from .sampling import (
     sample_monte_carlo,
     sample_optimal,
 )
-from .wls import (
-    assemble,
-    gram_diagnostics,
-    min_samples,
-    solve,
-)
+from .wls import assemble, gram_diagnostics, min_samples, solve
 
 __all__ = [
     "ExperimentConfig",
@@ -83,17 +83,12 @@ __all__ = [
     "RunResult",
     "PRESETS",
     "run",
-    "complexity_sweep",
-    "discrete_demo",
+    "fit_sweep",
+    "FitSpec",
+    "demo_target",
+    "synthetic_cloud",
 ]
 
-EXPERIMENTS = (
-    "poisson2d",
-    "poisson1d_kernel",
-    "burgers",
-    "discrete_demo",
-    "complexity_sweep",
-)
 SAMPLERS = ("optimal", "monte_carlo")
 FLOAT_FMT = "%.15g"
 
@@ -104,6 +99,14 @@ _NUMBER_KINDS = {int: Integral, float: Real}
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; nothing is written."""
+
+
+def check_numbers(name: str, values, kind=Real) -> None:
+    """Raise :class:`ConfigError` unless ``values`` is a non-empty list of ``kind``."""
+    if not isinstance(values, list) or not values or any(
+        isinstance(v, bool) or not isinstance(v, kind) for v in values
+    ):
+        raise ConfigError(f"{name} must be a non-empty list of numbers: {values!r}")
 
 
 def check_fields(obj, prefix: str = "") -> None:
@@ -220,7 +223,7 @@ class ExperimentConfig:
         check_fields(self)
         for name in SECTIONS:
             self.section(name)
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in FIT_SPECS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.sampling not in ("optimal", "monte_carlo", "both"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
@@ -234,13 +237,12 @@ class ExperimentConfig:
             raise ConfigError("d_out must be >= 1")
         if self.cloud_size < 1:
             raise ConfigError("cloud_size must be >= 1")
-        if not self.sweep:
-            raise ConfigError("sweep must be a non-empty list")
         # N_eff sweeps count modes; radius sweeps may be fractional
         entry = Real if self.experiment in ("burgers", "discrete_demo") else Integral
-        for value in self.sweep:
-            if isinstance(value, bool) or not isinstance(value, entry) or value <= 0:
-                raise ConfigError(f"sweep entry {value!r} is not a positive size")
+        check_numbers("sweep", self.sweep, entry)
+        if min(self.sweep) <= 0:
+            raise ConfigError(f"sweep entries must be positive: {self.sweep!r}")
+        check_numbers("sobolev_alphas", self.sobolev_alphas)
         if self.mode_order not in ("row", "column"):
             raise ConfigError("mode_order must be 'row' or 'column'")
         try:
@@ -251,19 +253,24 @@ class ExperimentConfig:
         if self.experiment == "poisson2d" and modes is None:
             raise ConfigError("poisson2d needs the l1_cubed measure rule")
         if self.experiment in ("poisson2d", "poisson1d_kernel"):
-            for n_eff in self.sweep:
-                if n_eff > d_in:
-                    raise ConfigError(
-                        f"N_eff={n_eff} exceeds the {d_in} available modes"
-                    )
+            if max(self.sweep) > d_in:
+                raise ConfigError(
+                    f"N_eff={max(self.sweep)} exceeds the {d_in} available modes"
+                )
             # Poisson outputs have one mode per input mode
             if (self.d_out or 0) > d_in:
                 raise ConfigError(f"d_out={self.d_out} exceeds the {d_in} modes")
         if self.experiment in ("burgers", "discrete_demo"):
             try:
-                cross_spec(self, d_in, self.sweep[0])
+                largest = cross_spec(self, d_in, max(self.sweep))
             except ValueError as exc:
                 raise ConfigError(f"invalid index_set {self.index_set}: {exc}") from exc
+        if self.experiment == "discrete_demo":
+            n_eff = len(generate(largest))
+            if self.cloud_size < n_eff:
+                raise ConfigError(
+                    f"cloud_size={self.cloud_size} is below N_eff={n_eff}"
+                )
         if self.experiment == "burgers":
             try:
                 burgers_solver(self, d_in)
@@ -382,6 +389,7 @@ def build_measure(config: ExperimentConfig) -> tuple[ProductMeasure, np.ndarray 
         alphas = np.arange(1, d_in + 1, dtype=float) ** 2
         return ProductMeasure.from_alphas(alphas), None
     if spec.alpha_rule == "explicit":
+        check_numbers("measure.alphas", spec.alphas)
         alphas = np.asarray(spec.alphas, dtype=float)
         return ProductMeasure.from_alphas(alphas), None
     raise ConfigError(f"unknown alpha rule {spec.alpha_rule!r}")
@@ -430,17 +438,15 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def coefficient_header(basis) -> list[str]:
-    if isinstance(basis, PolyOperatorBasis):
-        return [".".join(str(int(v)) for v in row) for row in basis.scalar_indices]
-    return [str(int(m)) for m in basis.input_modes]
-
-
 def write_coefficients(path: Path, estimate, basis) -> None:
     # one column per scalar index (named in the header), one row per output mode
-    header = coefficient_header(basis)
-    rows = [list(col) for col in estimate.coefficients.T]
-    write_csv(path, header, rows)
+    if isinstance(basis, PolyOperatorBasis):
+        header = [".".join(str(int(v)) for v in row) for row in basis.scalar_indices]
+    elif isinstance(basis, LinearRankOneBasis):
+        header = [str(int(m)) for m in basis.input_modes]
+    else:  # cloud-orthonormal features have no index set entry of their own
+        header = [f"b{j}" for j in range(basis.n_eff)]
+    write_csv(path, header, [list(col) for col in estimate.coefficients.T])
 
 
 def dataset_key(cfg_hash: str, sampler: str, seed: int, m: int) -> str:
@@ -449,9 +455,9 @@ def dataset_key(cfg_hash: str, sampler: str, seed: int, m: int) -> str:
 
 
 def cached_dataset(
-    directory: Path, key: str, write: bool, draw, operator: str, **build_kwargs
+    directory: Path, key: str, write: bool, draw, truth, **truth_kwargs
 ) -> DataSet:
-    """Dataset ``key`` from the cache, else drawn, solved and cached if ``write``.
+    """Dataset ``key`` from the cache, else made by ``truth`` and cached if ``write``.
 
     ``<key>.npz`` holds ``inputs``, ``weights`` and ``outputs`` losslessly, so
     a cache hit reproduces a fit bit for bit.  The ``<key>.json`` provenance
@@ -463,8 +469,7 @@ def cached_dataset(
         provenance = json.loads(sidecar.read_text(encoding="utf-8"))
         with np.load(arrays) as stored:
             return DataSet(**stored, provenance=provenance)
-    samples, weights = draw()
-    ds = build_dataset(samples, weights, operator, **build_kwargs)
+    ds = truth(*draw(), **truth_kwargs)
     if write:
         directory.mkdir(parents=True, exist_ok=True)
         np.savez(arrays, inputs=ds.inputs, weights=ds.weights, outputs=ds.outputs)
@@ -483,117 +488,154 @@ class RunResult:
 
 
 # --------------------------------------------------------------------------
-# the fitting loop shared by the PDE experiments
+# the fitting loop shared by every experiment
 
 
 def fit_once(basis, samples, weights, outputs):
+    """Assemble, diagnose and solve one system; also the three stage times.
+
+    The system is dropped on return, so it never outlives its fit.
+    """
+    t0 = time.perf_counter()
     system = assemble(basis, samples, weights, outputs)
+    t1 = time.perf_counter()
     summary = gram_diagnostics(system)
+    t2 = time.perf_counter()
     estimate = solve(system, basis)
-    return estimate, summary
+    return estimate, summary, [t1 - t0, t2 - t1, time.perf_counter() - t2]
 
 
 def _or_nan(value: float | None) -> float:
     return math.nan if value is None else value
 
 
+def measure_draw(measure: ProductMeasure, basis) -> Callable:
+    """``draw(sampler, rng, size)`` from the optimal or the base measure."""
+    tables = build_induced_tables(measure, basis)
+    plan = mixture_plan(basis)
+
+    def draw(sampler: str, rng: RngSeed, size: int):
+        if sampler == "optimal":
+            return sample_optimal(plan, tables, rng, size, basis)
+        return sample_monte_carlo(measure, rng, size, tables=tables)
+
+    return draw
+
+
 @dataclass(frozen=True)
 class FitSpec:
-    """What one PDE experiment fills into :func:`fit_sweep`.
+    """What one experiment fills into :func:`fit_sweep`.
 
-    ``entry(value)`` gives a sweep value's ``(tag, basis, M, lead)``: ``tag``
-    enters the seeds and the coefficient file name, ``lead`` fills
-    ``lead_columns``.  Training sets are ``build_dataset(..., operator,
-    d_out=d_out, **operator_kwargs)``; test sets keep every output column and
-    are seeded per (tag, trial) if ``test_per_trial``, else per tag.
-    ``metrics(estimate, report, test)`` gives the ``metric_columns``.
+    ``entry(value)`` gives a sweep value's ``(tag, basis, M, lead, draw)``:
+    ``tag`` enters the seeds and the coefficient file name, ``lead`` fills
+    ``lead_columns``, and ``draw(sampler, rng, size)`` gives inputs and
+    weights.  ``truth(inputs, weights, d_out=, seed=, sampler=)`` gives the
+    :class:`DataSet`.  Test sets, ``monte_carlo`` draws of ``n_test`` unless
+    ``test_draw`` gives them, keep every output column and are seeded per
+    (tag, trial) if ``test_per_trial``, else per tag.  Each draw is fitted
+    once per Sobolev exponent in ``alphas``, or once with no ``alpha`` column
+    if ``None``.  ``metrics(estimate, report, test)`` fills ``metric_columns``.
     """
 
-    measure: ProductMeasure
     d_out: int
     entry: Callable[[object], tuple]
-    operator: str
+    truth: Callable[..., DataSet]
     metric_columns: list
     metrics: Callable[..., list]
     coeff_file: str
-    operator_kwargs: dict = field(default_factory=dict)
     lead_columns: list = field(default_factory=list)
     test_per_trial: bool = True
+    test_draw: Callable | None = None
+    alphas: list | None = None
 
 
 def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
-    """Draw, solve, fit and test once per (sweep entry, sampler, trial).
+    """Draw, solve, fit and test once per (sweep entry, sampler, trial, alpha).
 
     Every training and test set goes through :func:`cached_dataset`.  Writes
-    one row per fit to ``results.csv`` and ``gram.csv``, and the coefficients
-    of trial 0 of the first sampler to ``coeffs/``.
+    one row per fit to ``results.csv``, ``gram.csv`` and ``timings.csv``, and
+    the coefficients of trial 0 of the first sampler to ``coeffs/``.
     """
-    measure, cfg_hash = spec.measure, config.content_hash()
+    cfg_hash = config.content_hash()
     coeffs_dir = out / "coeffs"
     coeffs_dir.mkdir(parents=True, exist_ok=True)
-    rows, gram_rows = [], []
-    for value in config.sweep:
-        tag, basis, m, lead = spec.entry(value)
-        tables = build_induced_tables(measure, basis)
-        plan = mixture_plan(basis)
+    output_modes = np.arange(1, spec.d_out + 1)
+    keys = ["N_eff", "sampling", "trial", *([] if spec.alphas is None else ["alpha"])]
+    rows, gram_rows, timing_rows = [], [], []
 
-        def dataset(sampler: str, seed: int, size: int, d_out: int | None) -> DataSet:
-            rng = RngSeed(seed)
-            if sampler == "optimal":
-                draw = partial(sample_optimal, plan, tables, rng, size, basis)
-            else:
-                draw = partial(sample_monte_carlo, measure, rng, size, tables=tables)
-            return cached_dataset(
-                out / "dataset", dataset_key(cfg_hash, sampler, seed, size),
-                config.write_datasets, draw, spec.operator, d_out=d_out,
-                seed=seed, sampler=sampler, **spec.operator_kwargs,
-            )
+    def dataset(draw, sampler: str, seed: int, size: int, d_out) -> DataSet:
+        return cached_dataset(
+            out / "dataset", dataset_key(cfg_hash, sampler, seed, size),
+            config.write_datasets, partial(draw, sampler, RngSeed(seed), size),
+            spec.truth, d_out=d_out, seed=seed, sampler=sampler,
+        )
+
+    for value in config.sweep:
+        tag, basis, m, lead, draw = spec.entry(value)
 
         @cache
         def test_set(seed: int) -> DataSet:
-            return dataset("monte_carlo", seed, config.n_test, None)
+            return dataset(spec.test_draw or draw, "monte_carlo", seed,
+                           config.n_test, None)
 
-        for sampler in config.samplers():
-            for trial in range(config.trials):
-                seed = derive_seed(config.seed, "train", tag, sampler, trial)
-                ds = dataset(sampler, seed, m, spec.d_out)
-                estimate, summary = fit_once(basis, ds.inputs, ds.weights, ds.outputs)
+        for sampler, trial in product(config.samplers(), range(config.trials)):
+            seed = derive_seed(config.seed, "train", tag, sampler, trial)
+            t0 = time.perf_counter()
+            ds = dataset(draw, sampler, seed, m, spec.d_out)
+            # the dataset's time goes to the first alpha fitted on it
+            t_dataset = time.perf_counter() - t0
+            for alpha in spec.alphas or [0.0]:
+                weighting = SobolevWeighting.for_modes(alpha, output_modes)
+                train = scale_outputs(ds.outputs, weighting)
+                estimate, summary, t_fit = fit_once(basis, ds.inputs, ds.weights, train)
+                t0 = time.perf_counter()
                 test_tags = (tag, trial) if spec.test_per_trial else (tag,)
                 test = test_set(derive_seed(config.seed, "test", *test_tags))
+                predicted = unscale_outputs(estimate.predict(test.inputs), weighting)
                 report = empirical_bochner_error(
-                    test.outputs[:, : spec.d_out], estimate.predict(test.inputs)
+                    test.outputs[:, : spec.d_out], predicted, weighting
                 )
-                rows.append(
-                    [*lead, basis.n_eff, sampler, trial, m, summary.condition,
-                     summary.spectral_gap, report.absolute,
-                     *spec.metrics(estimate, report, test), cfg_hash]
-                )
+                metrics = spec.metrics(estimate, report, test)
+                t_test = time.perf_counter() - t0
+                key = [basis.n_eff, sampler, trial, alpha][: len(keys)]
+                rows.append([*lead, *key, m, summary.condition, summary.spectral_gap,
+                             report.absolute, *metrics, cfg_hash])
                 gram_rows.append(
-                    [basis.n_eff, sampler, trial, summary.spectral_gap,
-                     summary.condition, summary.block_size,
-                     summary.stable(config.delta), cfg_hash]
+                    [*key, summary.spectral_gap, summary.condition,
+                     summary.block_size, summary.stable(config.delta), cfg_hash]
                 )
+                timing_rows.append([*lead, *key, m, t_dataset, *t_fit, t_test])
+                t_dataset = 0.0
                 if sampler == config.samplers()[0] and trial == 0:
                     write_coefficients(
-                        coeffs_dir / spec.coeff_file.format(tag), estimate, basis
+                        coeffs_dir / spec.coeff_file.format(tag, alpha), estimate, basis
                     )
     write_csv(
         out / "results.csv",
-        [*spec.lead_columns, "N_eff", "sampling", "trial", "M", "cond_G", "gap",
-         "test_error", *spec.metric_columns, "config_hash"],
+        [*spec.lead_columns, *keys, "M", "cond_G", "gap", "test_error",
+         *spec.metric_columns, "config_hash"],
         rows,
     )
     write_csv(
         out / "gram.csv",
-        ["N_eff", "sampling", "trial", "gap", "cond", "block_size", "stable",
-         "config_hash"],
+        [*keys, "gap", "cond", "block_size", "stable", "config_hash"],
         gram_rows,
+    )
+    write_csv(
+        out / "timings.csv",
+        [*spec.lead_columns, *keys, "M", "t_dataset", "t_assemble",
+         "t_gram", "t_solve", "t_test"],
+        timing_rows,
     )
     return rows
 
 
 # --------------------------------------------------------------------------
 # experiments
+
+
+def relative_error(estimate, report, test) -> list:
+    return [_or_nan(report.relative)]
 
 
 def poisson_spec(config: ExperimentConfig) -> FitSpec:
@@ -604,14 +646,14 @@ def poisson_spec(config: ExperimentConfig) -> FitSpec:
     def entry(value) -> tuple:
         n_eff = int(value)
         basis = LinearRankOneBasis.from_measure(measure, np.arange(n_eff), d_out)
-        return n_eff, basis, min_samples(n_eff, config.delta, config.epsilon), []
+        m = min_samples(n_eff, config.delta, config.epsilon)
+        return n_eff, basis, m, [], measure_draw(measure, basis)
 
-    common = dict(measure=measure, d_out=d_out, entry=entry)
     if config.experiment == "poisson2d":
         return FitSpec(
-            **common, operator="poisson2d", operator_kwargs={"modes_2d": modes},
-            metric_columns=["rel_test_error"],
-            metrics=lambda estimate, report, test: [_or_nan(report.relative)],
+            d_out=d_out, entry=entry,
+            truth=partial(build_dataset, operator="poisson2d", modes_2d=modes),
+            metric_columns=["rel_test_error"], metrics=relative_error,
             coeff_file="poisson2d_neff{}.csv",
         )
     grid = np.linspace(0.0, 1.0, 101)
@@ -622,8 +664,9 @@ def poisson_spec(config: ExperimentConfig) -> FitSpec:
         return [float(np.max(np.abs(kernel - exact)))]
 
     return FitSpec(
-        **common, operator="poisson1d", metric_columns=["kernel_sup_error"],
-        metrics=sup_error, coeff_file="kernel_neff{}.csv",
+        d_out=d_out, entry=entry, truth=partial(build_dataset, operator="poisson1d"),
+        metric_columns=["kernel_sup_error"], metrics=sup_error,
+        coeff_file="kernel_neff{}.csv",
     )
 
 
@@ -636,7 +679,8 @@ def burgers_spec(config: ExperimentConfig) -> FitSpec:
         indices = generate(cross_spec(config, len(measure), k))
         basis = PolyOperatorBasis.build(measure, indices, solver.d_out)
         n_eff = basis.n_eff
-        return k, basis, math.ceil(n_eff * math.log(max(n_eff, 2))), [k]
+        m = math.ceil(n_eff * math.log(max(n_eff, 2)))
+        return k, basis, m, [k], measure_draw(measure, basis)
 
     def metrics(estimate, report, test) -> list:
         # the test set keeps all d_solve solver modes, so this is the output
@@ -645,19 +689,12 @@ def burgers_spec(config: ExperimentConfig) -> FitSpec:
         return [_or_nan(report.relative), lost]
 
     return FitSpec(
-        measure=measure, d_out=solver.d_out, entry=entry, operator="burgers",
-        operator_kwargs={"burgers_config": solver}, lead_columns=["k"],
-        test_per_trial=False,
+        d_out=solver.d_out, entry=entry,
+        truth=partial(build_dataset, operator="burgers", burgers_config=solver),
+        lead_columns=["k"], test_per_trial=False,
         metric_columns=["rel_test_error", "energy_fraction_lost"],
         metrics=metrics, coeff_file="burgers_k{}.csv",
     )
-
-
-FIT_SPECS = {
-    "poisson2d": poisson_spec,
-    "poisson1d_kernel": poisson_spec,
-    "burgers": burgers_spec,
-}
 
 
 def synthetic_cloud(measure: ProductMeasure, size: int, seed: int) -> np.ndarray:
@@ -677,65 +714,53 @@ def demo_target(points: np.ndarray, d_out: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def discrete_demo(config: ExperimentConfig, out: Path | None = None) -> list[list]:
-    """Leverage-score fitting on a synthetic correlated cloud.
+def demo_dataset(width, samples, weights, *, d_out=None, **provenance) -> DataSet:
+    """:func:`demo_target` as a ground truth of ``width`` outputs, cut to ``d_out``."""
+    provenance.update(operator="demo_target", input_hash=content_hash(samples))
+    return DataSet(samples, demo_target(samples, d_out or width), weights, provenance)
 
-    Builds reference polynomial features, orthonormalizes them on the cloud,
-    and compares leverage-score draws with uniform draws, reporting
-    conditioning and Sobolev-weighted cloud errors for each configured alpha.
+
+def discrete_spec(config: ExperimentConfig) -> FitSpec:
+    """Leverage-score vs. uniform draws from a synthetic correlated cloud.
+
+    Reference polynomial features are orthonormalized on the cloud; every fit
+    is tested on the whole cloud (``n_test`` is unused), once per Sobolev
+    exponent in ``sobolev_alphas``.
     """
-    out = Path(out or config.out_dir)
     measure, _ = build_measure(config)
     d_out = config.d_out or 12
-    cfg_hash = config.content_hash()
     cloud = synthetic_cloud(measure, config.cloud_size, derive_seed(config.seed, "cloud"))
-    targets = demo_target(cloud, d_out)
-    output_modes = np.arange(1, d_out + 1)
-    rows = []
-    for k in config.sweep:
+
+    def entry(k) -> tuple:
         indices = generate(cross_spec(config, len(measure), k))
         ref_basis = PolyOperatorBasis.build(measure, indices, d_out)
-
-        def raw_features(x, _b=ref_basis):
-            return _b.scalar_features(x, warn_extrapolation=False)
-
+        raw_features = partial(ref_basis.scalar_features, warn_extrapolation=False)
         plan = build_discrete_plan(cloud, raw_features)
         basis = DiscreteFeatureBasis(plan=plan, raw_features=raw_features, d_out=d_out)
-        n_eff = plan.n_eff
-        m = min_samples(n_eff, config.delta, config.epsilon)
-        for sampler in config.samplers():
-            for trial in range(config.trials):
-                seed = derive_seed(config.seed, "train", k, sampler, trial)
-                if sampler == "optimal":
-                    idx, weights = sample_discrete(plan, RngSeed(seed), m)
-                else:
-                    u = RngSeed(seed).uniform_block(m, 1)[:, 0]
-                    idx = np.minimum(
-                        (u * plan.n_points).astype(int), plan.n_points - 1
-                    )
-                    weights = np.ones(m)
-                for alpha in config.sobolev_alphas:
-                    weighting = SobolevWeighting.for_modes(float(alpha), output_modes)
-                    train_out = scale_outputs(targets[idx], weighting)
-                    estimate, summary = fit_once(
-                        basis, cloud[idx], weights, train_out
-                    )
-                    predicted = unscale_outputs(estimate.predict(cloud), weighting)
-                    report = empirical_bochner_error(targets, predicted, weighting)
-                    rows.append(
-                        [k, n_eff, sampler, trial, float(alpha), m,
-                         summary.condition, summary.spectral_gap, report.absolute,
-                         _or_nan(report.relative), _or_nan(report.mean_of_ratios),
-                         cfg_hash]
-                    )
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "results.csv",
-        ["k", "N_eff", "sampling", "trial", "alpha", "M", "cond_G", "gap",
-         "test_error", "rel_test_error", "mean_of_ratios", "config_hash"],
-        rows,
+
+        def draw(sampler: str, rng: RngSeed, size: int):
+            if sampler == "optimal":
+                idx, weights = sample_discrete(plan, rng, size)
+            else:
+                u = rng.uniform_block(size, 1)[:, 0]
+                idx = np.minimum((u * plan.n_points).astype(int), plan.n_points - 1)
+                weights = np.ones(size)
+            return cloud[idx], weights
+
+        m = min_samples(plan.n_eff, config.delta, config.epsilon)
+        return k, basis, m, [k], draw
+
+    return FitSpec(
+        d_out=d_out, entry=entry, truth=partial(demo_dataset, d_out),
+        test_draw=lambda sampler, rng, size: (cloud, np.ones(len(cloud))),
+        alphas=[float(alpha) for alpha in config.sobolev_alphas],
+        lead_columns=["k"], test_per_trial=False,
+        metric_columns=["rel_test_error", "mean_of_ratios"],
+        metrics=lambda estimate, report, test: [
+            _or_nan(report.relative), _or_nan(report.mean_of_ratios)
+        ],
+        coeff_file="discrete_k{}_alpha{}.csv",
     )
-    return rows
 
 
 def total_degree_prefix(d_in: int, n_eff: int) -> np.ndarray:
@@ -753,44 +778,35 @@ def total_degree_prefix(d_in: int, n_eff: int) -> np.ndarray:
     return generate(spec)[:n_eff]
 
 
-def complexity_sweep(config: ExperimentConfig, out: Path | None = None) -> list[list]:
-    """Wall-time table of system assembly vs. solve across ``N_eff``.
+def complexity_spec(config: ExperimentConfig) -> FitSpec:
+    """Total-degree fits at ``M = 5 N_eff``, read for their ``timings.csv``.
 
     At ``M > 4 N_eff`` assembly is expected to dominate the solve; the
-    comparison is recorded per row, never hard-asserted (timing noise).
+    comparison is recorded, never asserted (timing noise).
     """
-    out = Path(out or config.out_dir)
     measure, _ = build_measure(config)
     d_out = config.d_out or 32
-    cfg_hash = config.content_hash()
-    rows = []
-    for n_eff in config.sweep:
-        n_eff = int(n_eff)
+
+    def entry(value) -> tuple:
+        n_eff = int(value)
         indices = total_degree_prefix(len(measure), n_eff)
         basis = PolyOperatorBasis.build(measure, indices, d_out)
-        tables = build_induced_tables(measure, basis)
-        plan = mixture_plan(basis)
-        m = 5 * n_eff
-        seed = derive_seed(config.seed, "complexity", n_eff)
-        samples, weights = sample_optimal(plan, tables, RngSeed(seed), m, basis)
-        outputs = demo_target(samples, d_out)
-        t0 = time.perf_counter()
-        system = assemble(basis, samples, weights, outputs)
-        t1 = time.perf_counter()
-        solve(system, basis)
-        t2 = time.perf_counter()
-        t_assemble, t_solve = t1 - t0, t2 - t1
-        rows.append(
-            [n_eff, m, d_out, t_assemble, t_solve, t_assemble >= t_solve, cfg_hash]
-        )
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "results.csv",
-        ["N_eff", "M", "d_out", "t_assemble", "t_solve", "assemble_ge_solve",
-         "config_hash"],
-        rows,
+        return n_eff, basis, 5 * n_eff, [], measure_draw(measure, basis)
+
+    return FitSpec(
+        d_out=d_out, entry=entry, truth=partial(demo_dataset, d_out),
+        metric_columns=["rel_test_error"], metrics=relative_error,
+        coeff_file="complexity_neff{}.csv",
     )
-    return rows
+
+
+FIT_SPECS = {
+    "poisson2d": poisson_spec,
+    "poisson1d_kernel": poisson_spec,
+    "burgers": burgers_spec,
+    "discrete_demo": discrete_spec,
+    "complexity_sweep": complexity_spec,
+}
 
 
 # --------------------------------------------------------------------------
@@ -802,12 +818,7 @@ def run(config: ExperimentConfig) -> RunResult:
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.experiment in FIT_SPECS:
-        rows = fit_sweep(config, out, FIT_SPECS[config.experiment](config))
-    elif config.experiment == "discrete_demo":
-        rows = discrete_demo(config, out)
-    else:
-        rows = complexity_sweep(config, out)
+    rows = fit_sweep(config, out, FIT_SPECS[config.experiment](config))
     manifest = {
         "config": asdict(config),
         "config_hash": config.content_hash(),

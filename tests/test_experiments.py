@@ -13,9 +13,7 @@ from opwls.experiments import (
     ConfigError,
     ExperimentConfig,
     build_measure,
-    complexity_sweep,
     derive_seed,
-    discrete_demo,
     run,
     select_d_in,
     total_degree_prefix,
@@ -60,6 +58,11 @@ KERNEL = {
     "experiment": "poisson1d_kernel", "trials": 1, "n_test": 10,
     "measure": {"alpha_rule": "squared_index", "d_in": 8}, "sweep": [2, 4],
 }
+DISCRETE = {
+    "experiment": "discrete_demo", "trials": 1, "d_out": 6, "cloud_size": 200,
+    "measure": {"alpha_rule": "squared_index", "d_in": 4},
+    "index_set": {"degree_cap": 3}, "sweep": [2],
+}
 BURGERS = {
     "experiment": "burgers", "trials": 1, "n_test": 4, "d_out": 3,
     "measure": {"alpha_rule": "squared_index", "d_in": 3}, "sweep": [1],
@@ -79,6 +82,30 @@ def tiny_kernel(tmp_path, **overrides):
     )
     params.update(overrides)
     return ExperimentConfig(**params)
+
+
+def tiny_discrete(tmp_path, **overrides):
+    params = dict(
+        DISCRETE, seed=3, sampling="both", n_test=10,
+        sobolev_alphas=[-1.0, 0.0, 1.0], out_dir=str(tmp_path / "demo"),
+    )
+    params.update(overrides)
+    return ExperimentConfig(**params)
+
+
+def tiny_complexity(tmp_path, **overrides):
+    params = dict(
+        experiment="complexity_sweep", seed=4, sampling="optimal",
+        trials=1, measure={"alpha_rule": "squared_index", "d_in": 3},
+        sweep=[1, 8], d_out=4, out_dir=str(tmp_path / "cx"),
+    )
+    params.update(overrides)
+    return ExperimentConfig(**params)
+
+
+def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    header, *lines = path.read_text().splitlines()
+    return header.split(","), [line.split(",") for line in lines]
 
 
 def assert_rejected_without_files(tmp_path, document: dict, *args: str) -> None:
@@ -281,8 +308,11 @@ class TestBurgersRun:
         lambda tmp_path: tiny_poisson2d(tmp_path, trials=1, sweep=[4]),
         tiny_kernel,
         lambda tmp_path: tiny_burgers(tmp_path, sweep=[2]),
+        tiny_discrete,
+        tiny_complexity,
     ],
-    ids=["poisson2d", "poisson1d_kernel", "burgers"],
+    ids=["poisson2d", "poisson1d_kernel", "burgers", "discrete_demo",
+         "complexity_sweep"],
 )
 def test_byte_identical_rerun(tmp_path, make):
     # the warm run reads every dataset back from the cache
@@ -322,41 +352,64 @@ def test_kernel_coefficients_from_first_sampler(tmp_path):
 
 class TestDiscreteDemo:
     def test_rows_and_probabilities(self, tmp_path):
-        config = ExperimentConfig(
-            experiment="discrete_demo", seed=3, sampling="both", trials=1,
-            n_test=10, measure={"alpha_rule": "squared_index", "d_in": 4},
-            index_set={"degree_cap": 3}, sweep=[2], d_out=6, cloud_size=200,
-            sobolev_alphas=[-1.0, 0.0, 1.0],
-            out_dir=str(tmp_path / "demo"),
-        )
-        rows = discrete_demo(config)
+        result = run(tiny_discrete(tmp_path))
         # two samplers x three alphas
-        assert len(rows) == 6
-        header_path = Path(config.out_dir) / "results.csv"
-        header = header_path.read_text().splitlines()[0].split(",")
-        for name in ("alpha", "cond_G", "gap", "rel_test_error", "mean_of_ratios"):
+        assert result.results_rows == 6
+        header, rows = read_csv(result.out_dir / "results.csv")
+        assert header[:5] == ["k", "N_eff", "sampling", "trial", "alpha"]
+        for name in ("cond_G", "gap", "rel_test_error", "mean_of_ratios"):
             assert name in header
         # optimal-vs-uniform conditioning gap is reported (not asserted)
         cond_col = header.index("cond_G")
         sampler_col = header.index("sampling")
-        lines = header_path.read_text().splitlines()[1:]
-        conds = {line.split(",")[sampler_col]: float(line.split(",")[cond_col])
-                 for line in lines}
+        conds = {row[sampler_col]: float(row[cond_col]) for row in rows}
         assert set(conds) == {"optimal", "monte_carlo"}
+        # the test set is the whole cloud, whatever n_test says
+        [test_set] = [p for p in (result.out_dir / "dataset").glob("*.npz")
+                      if json.loads(p.with_suffix(".json").read_text())["seed"]
+                      == derive_seed(3, "test", 2)]
+        with np.load(test_set) as stored:
+            assert stored["inputs"].shape == (200, 4)
 
 
 class TestComplexitySweep:
     def test_trivial_and_shape(self, tmp_path):
-        config = ExperimentConfig(
-            experiment="complexity_sweep", seed=4, sampling="optimal",
-            trials=1, measure={"alpha_rule": "squared_index", "d_in": 3},
-            sweep=[1, 8], d_out=4, out_dir=str(tmp_path / "cx"),
+        result = run(tiny_complexity(tmp_path))
+        assert result.results_rows == 2
+        header, rows = read_csv(result.out_dir / "timings.csv")
+        assert header == ["N_eff", "sampling", "trial", "M", "t_dataset",
+                          "t_assemble", "t_gram", "t_solve", "t_test"]
+        # M = 5 N_eff, and every stage time is a non-negative wall time
+        assert [(row[0], row[3]) for row in rows] == [("1", "5"), ("8", "40")]
+        assert all(float(t) >= 0.0 for row in rows for t in row[4:])
+
+    def test_sampling_and_trials_honoured(self, tmp_path):
+        config = tiny_complexity(tmp_path, sampling="both", trials=2)
+        result = run(config)
+        # two sizes x two samplers x two trials
+        assert result.results_rows == 8
+        _, rows = read_csv(result.out_dir / "results.csv")
+        assert sorted((row[1], row[2]) for row in rows) == sorted(
+            (sampler, str(trial))
+            for sampler in ("optimal", "monte_carlo") for trial in (0, 1)
+            for _ in (1, 8)
         )
-        rows = complexity_sweep(config)
-        assert len(rows) == 2
-        header = (Path(config.out_dir) / "results.csv").read_text().splitlines()[0]
-        assert header.split(",")[:5] == ["N_eff", "M", "d_out", "t_assemble",
-                                         "t_solve"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [tiny_poisson2d, tiny_kernel, tiny_burgers, tiny_discrete, tiny_complexity],
+    ids=["poisson2d", "poisson1d_kernel", "burgers", "discrete_demo",
+         "complexity_sweep"],
+)
+def test_one_timing_row_per_result_row(tmp_path, make):
+    result = run(make(tmp_path))
+    header, rows = read_csv(result.out_dir / "results.csv")
+    timing_header, timing_rows = read_csv(result.out_dir / "timings.csv")
+    keys = timing_header.index("M")
+    assert timing_header[:keys] == header[:keys]
+    assert [row[:keys] for row in timing_rows] == [row[:keys] for row in rows]
+    assert len(rows) == result.results_rows
 
 
 class TestCli:
@@ -433,6 +486,13 @@ class TestCli:
             ({**BURGERS,
               "index_set": {"gamma_rule": "linear_decay", "gamma_step": "x"}}, ()),
             ({**KERNEL, "measure": {"alpha_rule": "squared_index", "d_inn": 8}}, ()),
+            ({**DISCRETE, "sobolev_alphas": ["x"]}, ()),
+            ({**DISCRETE, "sobolev_alphas": [True]}, ()),
+            ({**DISCRETE, "sobolev_alphas": []}, ()),
+            ({**KERNEL, "sweep": [1],
+              "measure": {"alpha_rule": "explicit", "alphas": [True, "4"]}}, ()),
+            ({**KERNEL, "sweep": [1], "measure": {"alpha_rule": "explicit"}}, ()),
+            ({**DISCRETE, "cloud_size": 5}, ()),
         ],
         ids=["missing_experiment", "config_and_preset", "d_out_beyond_d_in",
              "d_in_zero", "float_grid_size", "float_d_solve", "even_grid_size",
@@ -440,7 +500,9 @@ class TestCli:
              "solver_dt_true", "solver_viscosity_true", "solver_final_time_string",
              "solver_steps_not_whole", "solver_unknown_key", "index_set_unknown_key",
              "degree_cap_float", "degree_cap_true", "degree_cap_negative",
-             "gamma_step_string", "measure_unknown_key"],
+             "gamma_step_string", "measure_unknown_key", "sobolev_alphas_string",
+             "sobolev_alphas_bool", "sobolev_alphas_empty", "explicit_alphas_mixed",
+             "explicit_alphas_missing", "cloud_smaller_than_n_eff"],
     )
     def test_rejected_run_exits_2_and_writes_nothing(self, tmp_path, document, args):
         assert_rejected_without_files(tmp_path, document, *args)
@@ -451,6 +513,14 @@ class TestCli:
         assert record["error"] == "ConfigError"
         assert "solver.dt" in record["message"]
         assert "'<='" not in record["message"]
+
+    def test_missing_explicit_alphas_are_named(self, tmp_path, capsys):
+        assert_rejected_without_files(
+            tmp_path, {**KERNEL, "sweep": [1], "measure": {"alpha_rule": "explicit"}}
+        )
+        record = json.loads(capsys.readouterr().err)
+        assert "measure.alphas" in record["message"]
+        assert "0-d array" not in record["message"]
 
     def test_missing_arguments_exit_2(self, capsys):
         assert main(["run"]) == 2
