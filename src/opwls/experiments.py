@@ -455,20 +455,25 @@ def dataset_key(cfg_hash: str, sampler: str, seed: int, m: int) -> str:
 
 
 def cached_dataset(
-    directory: Path, key: str, write: bool, draw, truth, **truth_kwargs
+    directory: Path, key: str, write: bool, draw, truth,
+    solver_config: dict | None = None, **truth_kwargs,
 ) -> DataSet:
     """Dataset ``key`` from the cache, else made by ``truth`` and cached if ``write``.
 
     ``<key>.npz`` holds ``inputs``, ``weights`` and ``outputs`` losslessly, so
     a cache hit reproduces a fit bit for bit.  The ``<key>.json`` provenance
     sidecar is written last, so a dataset whose write was cut short is never
-    read.
+    read.  Neither is one whose sidecar records another ``solver_config``
+    than the resolved one ``truth`` solves with: the key hashes the config
+    as written, where a ``null`` solver setting stands for a default that
+    may change.
     """
     arrays, sidecar = directory / f"{key}.npz", directory / f"{key}.json"
     if arrays.exists() and sidecar.exists():
         provenance = json.loads(sidecar.read_text(encoding="utf-8"))
-        with np.load(arrays) as stored:
-            return DataSet(**stored, provenance=provenance)
+        if provenance.get("solver_config") == solver_config:
+            with np.load(arrays) as stored:
+                return DataSet(**stored, provenance=provenance)
     ds = truth(*draw(), **truth_kwargs)
     if write:
         directory.mkdir(parents=True, exist_ok=True)
@@ -530,11 +535,13 @@ class FitSpec:
     ``tag`` enters the seeds and the coefficient file name, ``lead`` fills
     ``lead_columns``, and ``draw(sampler, rng, size)`` gives inputs and
     weights.  ``truth(inputs, weights, d_out=, seed=, sampler=)`` gives the
-    :class:`DataSet`.  Test sets, ``monte_carlo`` draws of ``n_test`` unless
-    ``test_draw`` gives them, keep every output column and are seeded per
-    (tag, trial) if ``test_per_trial``, else per tag.  Each draw is fitted
-    once per Sobolev exponent in ``alphas``, or once with no ``alpha`` column
-    if ``None``.  ``metrics(estimate, report, test)`` fills ``metric_columns``.
+    :class:`DataSet`; if it runs a solver, ``solver_config`` is the resolved
+    configuration its provenance records.  Test sets, ``monte_carlo`` draws
+    of ``n_test``, or the whole ``test_cloud`` (sampler ``cloud``) if one is
+    given, keep every output column and are seeded per (tag, trial) if
+    ``test_per_trial``, else per tag.  Each draw is fitted once per Sobolev
+    exponent in ``alphas``, or once with no ``alpha`` column if ``None``.
+    ``metrics(estimate, report, test)`` fills ``metric_columns``.
     """
 
     d_out: int
@@ -545,8 +552,9 @@ class FitSpec:
     coeff_file: str
     lead_columns: list = field(default_factory=list)
     test_per_trial: bool = True
-    test_draw: Callable | None = None
+    test_cloud: np.ndarray | None = None
     alphas: list | None = None
+    solver_config: dict | None = None
 
 
 def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
@@ -567,16 +575,20 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
         return cached_dataset(
             out / "dataset", dataset_key(cfg_hash, sampler, seed, size),
             config.write_datasets, partial(draw, sampler, RngSeed(seed), size),
-            spec.truth, d_out=d_out, seed=seed, sampler=sampler,
+            spec.truth, spec.solver_config, d_out=d_out, seed=seed, sampler=sampler,
         )
+
+    def whole_cloud(sampler: str, rng: RngSeed, size: int):
+        return spec.test_cloud, np.ones(size)
 
     for value in config.sweep:
         tag, basis, m, lead, draw = spec.entry(value)
 
         @cache
         def test_set(seed: int) -> DataSet:
-            return dataset(spec.test_draw or draw, "monte_carlo", seed,
-                           config.n_test, None)
+            if spec.test_cloud is None:
+                return dataset(draw, "monte_carlo", seed, config.n_test, None)
+            return dataset(whole_cloud, "cloud", seed, len(spec.test_cloud), None)
 
         for sampler, trial in product(config.samplers(), range(config.trials)):
             seed = derive_seed(config.seed, "train", tag, sampler, trial)
@@ -598,11 +610,12 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
                 metrics = spec.metrics(estimate, report, test)
                 t_test = time.perf_counter() - t0
                 key = [basis.n_eff, sampler, trial, alpha][: len(keys)]
+                stable = summary.stable(config.delta)
                 rows.append([*lead, *key, m, summary.condition, summary.spectral_gap,
-                             report.absolute, *metrics, cfg_hash])
+                             report.absolute, *metrics, cfg_hash, stable])
                 gram_rows.append(
                     [*key, summary.spectral_gap, summary.condition,
-                     summary.block_size, summary.stable(config.delta), cfg_hash]
+                     summary.block_size, stable, cfg_hash]
                 )
                 timing_rows.append([*lead, *key, m, t_dataset, *t_fit, t_test])
                 t_dataset = 0.0
@@ -613,7 +626,7 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
     write_csv(
         out / "results.csv",
         [*spec.lead_columns, *keys, "M", "cond_G", "gap", "test_error",
-         *spec.metric_columns, "config_hash"],
+         *spec.metric_columns, "config_hash", "stable"],
         rows,
     )
     write_csv(
@@ -694,6 +707,7 @@ def burgers_spec(config: ExperimentConfig) -> FitSpec:
         lead_columns=["k"], test_per_trial=False,
         metric_columns=["rel_test_error", "energy_fraction_lost"],
         metrics=metrics, coeff_file="burgers_k{}.csv",
+        solver_config=solver.as_dict(),
     )
 
 
@@ -752,7 +766,7 @@ def discrete_spec(config: ExperimentConfig) -> FitSpec:
 
     return FitSpec(
         d_out=d_out, entry=entry, truth=partial(demo_dataset, d_out),
-        test_draw=lambda sampler, rng, size: (cloud, np.ones(len(cloud))),
+        test_cloud=cloud,
         alphas=[float(alpha) for alpha in config.sobolev_alphas],
         lead_columns=["k"], test_per_trial=False,
         metric_columns=["rel_test_error", "mean_of_ratios"],

@@ -7,10 +7,12 @@ conservative form, ``u u_x = (u^2 / 2)_x``: per step, a sine synthesis of
 ``u`` on the grid and a cosine analysis of ``u^2 / 2``.  Each of the two is
 split over the even and the odd grid points, so a step runs four
 half-length transforms (DST-I, DST-III, DCT-I, DCT-II) in place of one
-full-length DST-I and DCT-I; the split needs an odd ``grid_size``.  On a grid
-of at least ``2 d_solve`` interior points the projection is exact, so it
-equals the Galerkin flux up to roundoff.  All solvers are pure functions of
-(input coefficients, configuration).
+full-length DST-I and DCT-I; the split needs an odd ``grid_size``.  The
+projection is exact, so it equals the Galerkin flux up to roundoff, once
+``2 (grid_size + 1) > 3 d_solve`` (Orszag's 3/2 rule); modes above half the
+grid fold onto the half-length transforms, which run in place on buffers
+allocated once per solve.  All solvers are pure functions of (input
+coefficients, configuration).
 
 :func:`build_dataset` runs Burgers solves on every core available to the
 process, one contiguous block of rows per thread.  Rows are independent, so
@@ -50,6 +52,7 @@ __all__ = [
     "solver_threads",
     "build_dataset",
     "default_d_solve",
+    "default_grid_size",
     "default_dt",
 ]
 
@@ -121,13 +124,21 @@ def greens_kernel(x, y):
 def default_d_solve(d_in: int, d_out: int) -> int:
     """Smallest ``2^m - 1`` solver dimension exceeding ``10 max(d_in, d_out)``.
 
-    The power-of-two form keeps the internal sine transforms fast.
+    The form keeps the internal transforms fast: the default grid of
+    :func:`default_grid_size` then has ``L = 3 * 2^(m-1)`` intervals, and the
+    half-length transforms of :func:`burgers_evolve` reduce to FFTs of the
+    smooth lengths ``L / 2`` and ``L``.
     """
     floor = 10 * max(d_in, d_out)
     m = 1
     while 2**m - 1 <= floor:
         m += 1
     return 2**m - 1
+
+
+def default_grid_size(d_solve: int) -> int:
+    """Smallest odd grid with ``2 (grid_size + 1) > 3 d_solve`` (767 for 511)."""
+    return (3 * d_solve // 2) | 1
 
 
 def default_dt(viscosity: float, final_time: float) -> float:
@@ -141,9 +152,11 @@ class BurgersConfig:
 
     ``d_solve`` must exceed ``10 max(d_in, d_out)`` (anti-aliasing headroom
     for the quantities of interest); ``grid_size`` interior points realize
-    the pseudospectral products, alias-free for quadratic terms whenever
-    ``grid_size >= 2 d_solve``.  ``grid_size`` must be odd: the solver splits
-    its ``grid_size + 1`` intervals into even and odd grid points.
+    the pseudospectral products, whose projection is exact once
+    ``2 (grid_size + 1) > 3 d_solve``.  That bound is the minimum, and its
+    smallest odd grid, :func:`default_grid_size`, the default.  ``grid_size``
+    must be odd: the solver splits its ``grid_size + 1`` intervals into even
+    and odd grid points.
     """
 
     viscosity: float
@@ -172,8 +185,11 @@ class BurgersConfig:
                 "d_solve must exceed 10 * max(d_in, d_out) "
                 f"({self.d_solve} <= {10 * max(self.d_in, self.d_out)})"
             )
-        if self.grid_size < 2 * self.d_solve:
-            raise ValueError("grid_size must be at least 2 * d_solve")
+        if 2 * (self.grid_size + 1) <= 3 * self.d_solve:
+            raise ValueError(
+                "grid_size must satisfy 2 (grid_size + 1) > 3 d_solve "
+                f"({self.grid_size} < {default_grid_size(self.d_solve)})"
+            )
         if self.grid_size % 2 == 0:
             raise ValueError(f"grid_size must be odd ({self.grid_size})")
 
@@ -194,7 +210,7 @@ class BurgersConfig:
             final_time=final_time,
             dt=default_dt(viscosity, final_time) if dt is None else dt,
             d_solve=d_solve,
-            grid_size=2 * d_solve + 1 if grid_size is None else grid_size,
+            grid_size=default_grid_size(d_solve) if grid_size is None else grid_size,
             d_in=d_in,
             d_out=d_out,
         )
@@ -235,19 +251,33 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
     ``L = 2 h`` (``grid_size`` must be odd).  On the even points ``i = 2 i'``,
     ``sin(j pi i / L) = sin(j pi i' / h)``, so ``u`` there is a DST-I of
     length ``h - 1``; on the odd points ``i = 2 i' + 1`` it is a DST-III of
-    length ``h`` over the same coefficients, zero-padded to ``h`` columns.
-    An odd ``grid_size >= 2 d_solve`` gives ``d_solve <= h - 1``, which
-    keeps every mode inside both.  The analysis sum over ``i = 1 .. L - 1``
-    splits the same way: a DCT-I of length ``h + 1`` over the even squares
-    between two zero end points, plus a DCT-II of length ``h`` over the odd
-    squares.  All four transforms carry scipy's factor 2, as the full-length
-    DST-I and DCT-I of the same sums do.
+    length ``h``.  The analysis sum over ``i = 1 .. L - 1`` splits the same
+    way: a DCT-I of length ``h + 1`` over the even squares between two zero
+    end points, giving ``E_j``, plus a DCT-II of length ``h`` over the odd
+    squares, giving ``O_j``.  All four transforms carry scipy's factor 2, as
+    the full-length DST-I and DCT-I of the same sums do.
+
+    Modes above ``h`` fold onto the half-length transforms: on the odd
+    points mode ``2 h - j`` takes the values of mode ``j``, on the even
+    points their negatives, and mode ``h`` vanishes on the even points.  So
+    for ``j < h`` the DST-I input is ``a_j - a_{2h-j}`` and the DST-III input
+    ``a_j + a_{2h-j}``, and the DST-III's last input is ``2 a_h``, since
+    scipy weights it by 1 and the others by 2.  The analysis unfolds as
+    ``C_j = E_j + O_j`` for ``j < h``, ``C_h = E_h`` and
+    ``C_{2h-j} = E_j - O_j``.  On a grid with ``h > d_solve`` nothing folds
+    and the columns from ``d_solve`` up to ``h`` stay 0.
 
     The projection is exact, not merely alias-free: ``w cos(j pi x)`` has
     cosine modes up to ``3 d_solve``, and the trapezoid rule on
     ``grid_size + 1`` intervals integrates ``cos(l pi x)`` exactly for every
-    ``l < 2 (grid_size + 1)``, which ``grid_size >= 2 d_solve`` guarantees.
-    The split only regroups the terms of that sum, so it stays exact.
+    ``l < 2 (grid_size + 1)``, which ``2 (grid_size + 1) > 3 d_solve``
+    guarantees.  The split and the fold only regroup the terms of that sum,
+    so they stay exact.
+
+    The transforms run in place on scratch buffers allocated once per
+    solve, and the flux is summed, scaled and added from one more buffer;
+    since the transforms overwrite their inputs, each step rewrites every
+    input column and the DCT-I's two zero end points.
 
     Rows are independent, so any split of the batch gives bitwise identical
     rows.  Returns all ``d_solve`` coefficients at the final time; callers
@@ -258,15 +288,25 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
         raise ValueError("initial coefficients exceed the solver dimension")
     m, d, p = u0.shape[0], config.d_solve, config.grid_size
     h = (p + 1) // 2
-    # synthesis input: the state occupies the first d columns, the rest
-    # stay 0; the DST-III reads all h columns, the DST-I the first h - 1
-    coef = np.zeros((m, h))
+    # the state occupies the first d columns; with h > d the rest stay 0,
+    # so mode h always has a column
+    width = max(d, h)
+    coef = np.zeros((m, width))
     coef[:, : u0.shape[1]] = u0
     state = coef[:, :d]
-    # analysis inputs: u^2 on the even points between the two zero end
-    # points, and u^2 on the odd points
-    even = np.zeros((m, h + 1))
+    # the modes above h (columns h .. width - 1) fold, in reverse, onto
+    # columns lo .. h - 2
+    lo = 2 * h - 1 - width
+    high = coef[:, width - 1 : h - 1 : -1]
+    # scratch for the in-place transforms: the DST-I's input, output and
+    # squares sit between the two end points of the DCT-I that follows; the
+    # DST-III, its squares and the DCT-II share the other buffer
+    even = np.empty((m, h + 1))
+    synth = even[:, 1:h]
     odd = np.empty((m, h))
+    # the flux of modes 1 .. width, of which the state takes the first d
+    flux_all = np.empty((m, width))
+    flux = flux_all[:, :d]
 
     j = np.arange(1, d + 1, dtype=float)
     damp = 1.0 / (1.0 + config.dt * config.viscosity * np.pi**2 * j**2)
@@ -279,11 +319,24 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
     # a blow-up overflows the squares first; the finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            np.square(_fft.dst(coef[:, : h - 1], type=1, axis=1), out=even[:, 1:h])
-            np.square(_fft.dst(coef, type=3, axis=1), out=odd)
-            flux = _fft.dct(even, type=1, axis=1)[:, 1 : d + 1]
-            flux += _fft.dct(odd, type=2, axis=1)[:, 1 : d + 1]
-            state += flux_scale * flux
+            synth[:, :lo] = coef[:, :lo]
+            np.subtract(coef[:, lo : h - 1], high, out=synth[:, lo:])
+            odd[:, :lo] = coef[:, :lo]
+            np.add(coef[:, lo : h - 1], high, out=odd[:, lo : h - 1])
+            np.multiply(coef[:, h - 1], 2.0, out=odd[:, h - 1])
+            np.square(_fft.dst(synth, type=1, axis=1, overwrite_x=True), out=synth)
+            even[:, 0] = even[:, h] = 0.0
+            np.square(_fft.dst(odd, type=3, axis=1, overwrite_x=True), out=odd)
+            # the returned arrays are the buffers, unless scipy had to copy
+            e = _fft.dct(even, type=1, axis=1, overwrite_x=True)
+            o = _fft.dct(odd, type=2, axis=1, overwrite_x=True)
+            np.add(e[:, 1:h], o[:, 1:h], out=flux_all[:, : h - 1])
+            flux_all[:, h - 1] = e[:, h]
+            np.subtract(
+                e[:, h - 1 : lo : -1], o[:, h - 1 : lo : -1], out=flux_all[:, h:]
+            )
+            flux *= flux_scale
+            state += flux
             state *= damp
             if not np.all(np.isfinite(state)):
                 raise BlowUpError("non-finite Burgers state; reduce dt or amplitudes")

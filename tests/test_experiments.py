@@ -13,6 +13,7 @@ from opwls.experiments import (
     ConfigError,
     ExperimentConfig,
     build_measure,
+    dataset_key,
     derive_seed,
     run,
     select_d_in,
@@ -208,15 +209,19 @@ class TestPoisson2dRun:
         result = run(config)
         # trials x sweep sizes x two samplers
         assert result.results_rows == 2 * 2 * 2
-        lines = (result.out_dir / "results.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        for name in ("N_eff", "sampling", "cond_G", "gap", "test_error"):
-            assert name in header
-        assert len(lines) == 1 + result.results_rows
+        header, rows = read_csv(result.out_dir / "results.csv")
+        assert header == ["N_eff", "sampling", "trial", "M", "cond_G", "gap",
+                          "test_error", "rel_test_error", "config_hash", "stable"]
+        assert len(rows) == result.results_rows
         # every row carries the config hash
         column = header.index("config_hash")
-        for line in lines[1:]:
-            assert line.split(",")[column] == config.content_hash()
+        for row in rows:
+            assert row[column] == config.content_hash()
+        # the stability flag is gram.csv's, row for row
+        gram_header, gram_rows = read_csv(result.out_dir / "gram.csv")
+        flags = [row[gram_header.index("stable")] for row in gram_rows]
+        assert [row[-1] for row in rows] == flags
+        assert set(flags) <= {"true", "false"}
 
     def test_artifacts_exist(self, tmp_path):
         config = tiny_poisson2d(tmp_path, trials=1, sweep=[4])
@@ -284,6 +289,26 @@ class TestBurgersRun:
         before = dataset_files(result.out_dir)
         run(config)
         assert dataset_files(result.out_dir) == before
+
+    def test_mismatched_solver_sidecar_never_read(self, tmp_path):
+        # a dataset cached under another solver configuration, as a run
+        # before a default changed would leave it, is solved again
+        config = tiny_burgers(tmp_path, sweep=[1])
+        result = run(config)
+        first = stable_artifacts(result.out_dir)
+        sidecars = sorted((result.out_dir / "dataset").glob("*.json"))
+        resolved = [json.loads(p.read_text()) for p in sidecars]
+        assert resolved[0]["solver_config"]["grid_size"] == 47
+        for path, provenance in zip(sidecars, resolved):
+            stale = {**provenance["solver_config"], "grid_size": 63}
+            path.write_text(json.dumps({**provenance, "solver_config": stale}))
+            arrays = path.with_suffix(".npz")
+            with np.load(arrays) as stored:
+                garbage = {k: v + 1.0 for k, v in stored.items()}
+            np.savez(arrays, **garbage)
+        run(config)
+        assert stable_artifacts(result.out_dir) == first
+        assert [json.loads(p.read_text()) for p in sidecars] == resolved
 
     def test_energy_fraction_lost_measured(self, tmp_path):
         # modes above d_out carry energy the truncation discards
@@ -364,10 +389,15 @@ class TestDiscreteDemo:
         sampler_col = header.index("sampling")
         conds = {row[sampler_col]: float(row[cond_col]) for row in rows}
         assert set(conds) == {"optimal", "monte_carlo"}
-        # the test set is the whole cloud, whatever n_test says
+        # the test set is the whole cloud, whatever n_test says, and is
+        # keyed and labelled as such
+        seed = derive_seed(3, "test", 2)
         [test_set] = [p for p in (result.out_dir / "dataset").glob("*.npz")
                       if json.loads(p.with_suffix(".json").read_text())["seed"]
-                      == derive_seed(3, "test", 2)]
+                      == seed]
+        key = dataset_key(result.manifest["config_hash"], "cloud", seed, 200)
+        assert test_set.stem == key
+        assert json.loads(test_set.with_suffix(".json").read_text())["sampler"] == "cloud"
         with np.load(test_set) as stored:
             assert stored["inputs"].shape == (200, 4)
 
@@ -467,6 +497,7 @@ class TestCli:
             ({**BURGERS, "solver": {"grid_size": 1023.0}}, ()),
             ({**BURGERS, "solver": {"d_solve": 255.0}}, ()),
             ({**BURGERS, "solver": {"grid_size": 1024}}, ()),
+            ({**BURGERS, "solver": {"grid_size": 45}}, ()),
             *[
                 ({**KERNEL, "sweep": [1],
                   "measure": {"alpha_rule": "squared_index", "d_in": d_in}}, ())
@@ -496,6 +527,7 @@ class TestCli:
         ],
         ids=["missing_experiment", "config_and_preset", "d_out_beyond_d_in",
              "d_in_zero", "float_grid_size", "float_d_solve", "even_grid_size",
+             "grid_below_exactness_bound",
              "bool_d_in", "float_d_in", "string_d_in", "float_max_mode",
              "solver_dt_true", "solver_viscosity_true", "solver_final_time_string",
              "solver_steps_not_whole", "solver_unknown_key", "index_set_unknown_key",

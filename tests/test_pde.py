@@ -13,6 +13,7 @@ from opwls.pde import (
     burgers_solve,
     default_d_solve,
     default_dt,
+    default_grid_size,
     greens_kernel,
     poisson_apply_1d,
     poisson_apply_2d,
@@ -121,6 +122,19 @@ class TestBurgersConfig:
         assert default_d_solve(8, 48) == 511
         assert default_d_solve(3, 3) == 31
 
+    def test_grid_rule(self):
+        # the smallest odd grid with 2 (grid_size + 1) > 3 d_solve
+        assert default_grid_size(511) == 767
+        assert default_grid_size(31) == 47
+        assert small_burgers().grid_size == 47
+
+    def test_grid_exactness_bound(self):
+        # at d_solve = 31 the bound needs more than 46.5 intervals: grid 45
+        # has 46, grid 47 has 48
+        with pytest.raises(ValueError, match="3 d_solve"):
+            small_burgers(grid_size=45)
+        assert small_burgers(grid_size=47).d_solve == 31
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             BurgersConfig.create(viscosity=0.1, d_in=8, d_out=48, d_solve=480)
@@ -187,6 +201,33 @@ class TestBurgersSolver:
         assert np.abs(fast - state).max() <= 1e-12
 
     @staticmethod
+    def dense_evolve(u0, cfg):
+        # reference: direct matrix synthesis and analysis on the grid
+        d, p = cfg.d_solve, cfg.grid_size
+        x = np.arange(1, p + 1) / (p + 1)
+        j = np.arange(1, d + 1)
+        synth = math.sqrt(2.0) * np.sin(math.pi * np.outer(x, j))
+        dsynth = math.sqrt(2.0) * math.pi * j * np.cos(math.pi * np.outer(x, j))
+        analysis = synth.T / (p + 1)
+        damp = 1.0 / (1.0 + cfg.dt * cfg.viscosity * math.pi**2 * j**2)
+        state = np.zeros((u0.shape[0], d))
+        state[:, : u0.shape[1]] = u0
+        for _ in range(int(round(cfg.final_time / cfg.dt))):
+            flux = ((state @ synth.T) * (state @ dsynth.T)) @ analysis.T
+            state = (state - cfg.dt * flux) * damp
+        return state
+
+    def test_smallest_grid_matches_dense_transforms(self):
+        # on grid 47 (h = 24) modes 25 .. 31 fold onto the half-length
+        # transforms, and mode 24 sits in the DST-III's last input; every
+        # one of the 31 modes starts excited
+        cfg = small_burgers(T=0.01, grid_size=47)
+        rng = np.random.default_rng(2)
+        u0 = 0.3 * rng.uniform(-1, 1, (4, cfg.d_solve)) / np.arange(1, cfg.d_solve + 1)
+        dense = self.dense_evolve(u0, cfg)
+        assert np.abs(burgers_evolve(u0, cfg) - dense).max() <= 1e-12
+
+    @staticmethod
     def full_grid_evolve(u0, cfg):
         # reference: the step on full-grid transforms, one DST-I over the
         # grid_size interior points and one DCT-I over the grid and its two
@@ -223,6 +264,21 @@ class TestBurgersSolver:
         # 1e-14 relative to each row's largest coefficient
         scale = np.abs(full).max(axis=1, keepdims=True)
         assert np.all(np.abs(split - full) <= 1e-14 * scale)
+
+    def test_default_grid_matches_1023_grid_at_paper_size(self):
+        # the paper's solver size over its 2000 steps: the 767-point default
+        # agrees with the 1023-point grid to roundoff, 1e-14 relative to
+        # each row's largest coefficient
+        kw = dict(viscosity=0.1, final_time=0.2, d_in=8, d_out=48)
+        cfg = BurgersConfig.create(**kw)
+        assert (cfg.d_solve, cfg.grid_size, round(cfg.final_time / cfg.dt)) == (
+            511, 767, 2000
+        )
+        u0 = np.random.default_rng(14).uniform(-1.0, 1.0, (8, 8))
+        default = burgers_evolve(u0, cfg)
+        wide = burgers_evolve(u0, BurgersConfig.create(**kw, grid_size=1023))
+        scale = np.abs(wide).max(axis=1, keepdims=True)
+        assert np.all(np.abs(default - wide) <= 1e-14 * scale)
 
     def test_dealiasing_grid_insensitivity(self):
         # doubling the oversampled grid beyond the default must not change
