@@ -561,15 +561,16 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
     """Draw, solve, fit and test once per (sweep entry, sampler, trial, alpha).
 
     Every training and test set goes through :func:`cached_dataset`.  Writes
-    one row per fit to ``results.csv``, ``gram.csv`` and ``timings.csv``, and
-    the coefficients of trial 0 of the first sampler to ``coeffs/``.
+    one row per fit to ``results.csv``, ``gram.csv`` and ``timings.csv``, one
+    record per fit to ``errors.json``, and the coefficients of trial 0 of the
+    first sampler to ``coeffs/``.
     """
     cfg_hash = config.content_hash()
     coeffs_dir = out / "coeffs"
     coeffs_dir.mkdir(parents=True, exist_ok=True)
     output_modes = np.arange(1, spec.d_out + 1)
     keys = ["N_eff", "sampling", "trial", *([] if spec.alphas is None else ["alpha"])]
-    rows, gram_rows, timing_rows = [], [], []
+    rows, gram_rows, timing_rows, error_records = [], [], [], []
 
     def dataset(draw, sampler: str, seed: int, size: int, d_out) -> DataSet:
         return cached_dataset(
@@ -618,6 +619,14 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
                      summary.block_size, stable, cfg_hash]
                 )
                 timing_rows.append([*lead, *key, m, t_dataset, *t_fit, t_test])
+                error_records.append({
+                    **dict(zip([*spec.lead_columns, *keys], [*lead, *key])),
+                    "quantiles": {str(q): v for q, v in report.quantiles.items()},
+                    "mean_of_ratios": report.mean_of_ratios,
+                    "gap": summary.spectral_gap,
+                    "cond": summary.condition,
+                    "block_size": summary.block_size,
+                })
                 t_dataset = 0.0
                 if sampler == config.samplers()[0] and trial == 0:
                     write_coefficients(
@@ -639,6 +648,9 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
         [*spec.lead_columns, *keys, "M", "t_dataset", "t_assemble",
          "t_gram", "t_solve", "t_test"],
         timing_rows,
+    )
+    (out / "errors.json").write_text(
+        json.dumps(error_records, indent=2) + "\n", encoding="utf-8"
     )
     return rows
 

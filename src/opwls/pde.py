@@ -2,17 +2,14 @@ r"""Desk-scale ground-truth operators and dataset construction.
 
 Poisson problems are solved exactly in the sine eigenbasis; viscous Burgers
 is advanced by a first-order IMEX Euler scheme (implicit viscosity, explicit
-pseudospectral flux) on an oversampled interior grid.  The flux is taken in
-conservative form, ``u u_x = (u^2 / 2)_x``: per step, a sine synthesis of
-``u`` on the grid and a cosine analysis of ``u^2 / 2``.  Each of the two is
-split over the even and the odd grid points, so a step runs four
-half-length transforms (DST-I, DST-III, DCT-I, DCT-II) in place of one
-full-length DST-I and DCT-I; the split needs an odd ``grid_size``.  The
-projection is exact, so it equals the Galerkin flux up to roundoff, once
-``2 (grid_size + 1) > 3 d_solve`` (Orszag's 3/2 rule); modes above half the
-grid fold onto the half-length transforms, which run in place on buffers
-allocated once per solve.  All solvers are pure functions of (input
-coefficients, configuration).
+pseudospectral flux) collocated at the midpoints of ``grid_size + 1`` equal
+cells.  The flux is taken in conservative form, ``u u_x = (u^2 / 2)_x``: per
+step, one DST-III synthesizes ``u`` at the midpoints and one DCT-II projects
+``u^2 / 2`` onto cosines, both of length ``grid_size + 1``.  The midpoint
+rule integrates ``cos(l pi x)`` exactly for ``0 <= l < 2 (grid_size + 1)``,
+so the projection equals the Galerkin flux up to roundoff once
+``2 (grid_size + 1) > 3 d_solve`` (Orszag's 3/2 rule).  All solvers are
+pure functions of (input coefficients, configuration).
 
 :func:`build_dataset` runs Burgers solves on every core available to the
 process, one contiguous block of rows per thread.  Rows are independent, so
@@ -125,9 +122,8 @@ def default_d_solve(d_in: int, d_out: int) -> int:
     """Smallest ``2^m - 1`` solver dimension exceeding ``10 max(d_in, d_out)``.
 
     The form keeps the internal transforms fast: the default grid of
-    :func:`default_grid_size` then has ``L = 3 * 2^(m-1)`` intervals, and the
-    half-length transforms of :func:`burgers_evolve` reduce to FFTs of the
-    smooth lengths ``L / 2`` and ``L``.
+    :func:`default_grid_size` then has ``L = 3 * 2^(m-1)`` cells, and ``L``
+    is the one FFT length of :func:`burgers_evolve`'s two transforms.
     """
     floor = 10 * max(d_in, d_out)
     m = 1
@@ -151,12 +147,12 @@ class BurgersConfig:
     """Viscous Burgers solver configuration.
 
     ``d_solve`` must exceed ``10 max(d_in, d_out)`` (anti-aliasing headroom
-    for the quantities of interest); ``grid_size`` interior points realize
-    the pseudospectral products, whose projection is exact once
-    ``2 (grid_size + 1) > 3 d_solve``.  That bound is the minimum, and its
-    smallest odd grid, :func:`default_grid_size`, the default.  ``grid_size``
-    must be odd: the solver splits its ``grid_size + 1`` intervals into even
-    and odd grid points.
+    for the quantities of interest).  The pseudospectral products are taken
+    at the midpoints of ``grid_size + 1`` cells, and their projection is
+    exact once ``2 (grid_size + 1) > 3 d_solve``.  That bound is the
+    minimum, and its smallest odd grid, :func:`default_grid_size`, the
+    default.  ``grid_size`` must be odd: the midpoint solver would run on
+    any grid, but the odd rule is part of the config contract.
     """
 
     viscosity: float
@@ -224,6 +220,9 @@ class BurgersConfig:
             "grid_size": self.grid_size,
             "d_in": self.d_in,
             "d_out": self.d_out,
+            # recorded so that a dataset cached by a solver collocated
+            # elsewhere (the interval grid) is solved again, never read
+            "collocation": "midpoint",
         }
 
 
@@ -240,44 +239,23 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
 
         fluxhat_j = <w_x, sqrt(2) sin(j pi x)> = -j pi <w, sqrt(2) cos(j pi x)>.
 
-    Per step, ``u`` is synthesized on the ``grid_size`` interior points
-    ``x_i = i / L``, the grid values are squared, ``w`` is projected onto
-    cosines by the trapezoid rule over ``L = grid_size + 1`` intervals, and
-    the implicit viscous update follows:
+    Per step, ``u`` is synthesized at the ``L = grid_size + 1`` cell midpoints
+    ``x_i = (i + 1/2) / L``, the values are squared, ``w`` is projected onto
+    cosines by the midpoint rule, and the implicit viscous update follows:
 
         uhat <- (uhat - dt * fluxhat) / (1 + dt * nu * pi^2 j^2).
 
-    Both transforms are split over the even and the odd grid points, with
-    ``L = 2 h`` (``grid_size`` must be odd).  On the even points ``i = 2 i'``,
-    ``sin(j pi i / L) = sin(j pi i' / h)``, so ``u`` there is a DST-I of
-    length ``h - 1``; on the odd points ``i = 2 i' + 1`` it is a DST-III of
-    length ``h``.  The analysis sum over ``i = 1 .. L - 1`` splits the same
-    way: a DCT-I of length ``h + 1`` over the even squares between two zero
-    end points, giving ``E_j``, plus a DCT-II of length ``h`` over the odd
-    squares, giving ``O_j``.  All four transforms carry scipy's factor 2, as
-    the full-length DST-I and DCT-I of the same sums do.
-
-    Modes above ``h`` fold onto the half-length transforms: on the odd
-    points mode ``2 h - j`` takes the values of mode ``j``, on the even
-    points their negatives, and mode ``h`` vanishes on the even points.  So
-    for ``j < h`` the DST-I input is ``a_j - a_{2h-j}`` and the DST-III input
-    ``a_j + a_{2h-j}``, and the DST-III's last input is ``2 a_h``, since
-    scipy weights it by 1 and the others by 2.  The analysis unfolds as
-    ``C_j = E_j + O_j`` for ``j < h``, ``C_h = E_h`` and
-    ``C_{2h-j} = E_j - O_j``.  On a grid with ``h > d_solve`` nothing folds
-    and the columns from ``d_solve`` up to ``h`` stay 0.
+    At the midpoints ``sin(j pi x_i) = sin(pi j (2 i + 1) / (2 L))``, so the
+    synthesis is a DST-III of length ``L`` with ``a_j`` at input ``j - 1``;
+    input ``L - 1``, mode ``L``, is the zero padding, since ``d_solve < L``.
+    The analysis sum ``sum_i w(x_i) cos(j pi x_i)`` is a DCT-II of length
+    ``L``.  Both carry scipy's factor 2 and run on FFTs of length ``L``.
 
     The projection is exact, not merely alias-free: ``w cos(j pi x)`` has
-    cosine modes up to ``3 d_solve``, and the trapezoid rule on
-    ``grid_size + 1`` intervals integrates ``cos(l pi x)`` exactly for every
-    ``l < 2 (grid_size + 1)``, which ``2 (grid_size + 1) > 3 d_solve``
-    guarantees.  The split and the fold only regroup the terms of that sum,
-    so they stay exact.
-
-    The transforms run in place on scratch buffers allocated once per
-    solve, and the flux is summed, scaled and added from one more buffer;
-    since the transforms overwrite their inputs, each step rewrites every
-    input column and the DCT-I's two zero end points.
+    cosine modes up to ``3 d_solve``, and the midpoint rule integrates
+    ``cos(l pi x)`` exactly whenever ``0 <= l < 2 L``, since
+    ``sum_i cos(l pi (i + 1/2) / L) = 0`` for ``0 < l < 2 L``.  The bound
+    ``2 (grid_size + 1) > 3 d_solve`` guarantees it.
 
     Rows are independent, so any split of the batch gives bitwise identical
     rows.  Returns all ``d_solve`` coefficients at the final time; callers
@@ -286,61 +264,28 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
     u0 = np.atleast_2d(np.asarray(u0hat, dtype=float))
     if u0.shape[1] > config.d_solve:
         raise ValueError("initial coefficients exceed the solver dimension")
-    m, d, p = u0.shape[0], config.d_solve, config.grid_size
-    h = (p + 1) // 2
-    # the state occupies the first d columns; with h > d the rest stay 0,
-    # so mode h always has a column
-    width = max(d, h)
-    coef = np.zeros((m, width))
-    coef[:, : u0.shape[1]] = u0
-    state = coef[:, :d]
-    # the modes above h (columns h .. width - 1) fold, in reverse, onto
-    # columns lo .. h - 2
-    lo = 2 * h - 1 - width
-    high = coef[:, width - 1 : h - 1 : -1]
-    # scratch for the in-place transforms: the DST-I's input, output and
-    # squares sit between the two end points of the DCT-I that follows; the
-    # DST-III, its squares and the DCT-II share the other buffer
-    even = np.empty((m, h + 1))
-    synth = even[:, 1:h]
-    odd = np.empty((m, h))
-    # the flux of modes 1 .. width, of which the state takes the first d
-    flux_all = np.empty((m, width))
-    flux = flux_all[:, :d]
+    d, cells = config.d_solve, config.grid_size + 1
+    state = np.zeros((u0.shape[0], d))
+    state[:, : u0.shape[1]] = u0
 
     j = np.arange(1, d + 1, dtype=float)
     damp = 1.0 / (1.0 + config.dt * config.viscosity * np.pi**2 * j**2)
     # the synthesis returns sqrt(2) u, so its square is 4 w; the analysis
-    # sum over the grid is 2 (grid_size + 1) / sqrt(2) times the cosine
-    # coefficient
-    flux_scale = config.dt * j * np.pi / (4.0 * math.sqrt(2.0) * (p + 1))
+    # sum over the cells is 2 L / sqrt(2) times the cosine coefficient
+    flux_scale = config.dt * j * np.pi / (4.0 * math.sqrt(2.0) * cells)
     n_steps = int(round(config.final_time / config.dt))
 
     # a blow-up overflows the squares first; the finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            synth[:, :lo] = coef[:, :lo]
-            np.subtract(coef[:, lo : h - 1], high, out=synth[:, lo:])
-            odd[:, :lo] = coef[:, :lo]
-            np.add(coef[:, lo : h - 1], high, out=odd[:, lo : h - 1])
-            np.multiply(coef[:, h - 1], 2.0, out=odd[:, h - 1])
-            np.square(_fft.dst(synth, type=1, axis=1, overwrite_x=True), out=synth)
-            even[:, 0] = even[:, h] = 0.0
-            np.square(_fft.dst(odd, type=3, axis=1, overwrite_x=True), out=odd)
-            # the returned arrays are the buffers, unless scipy had to copy
-            e = _fft.dct(even, type=1, axis=1, overwrite_x=True)
-            o = _fft.dct(odd, type=2, axis=1, overwrite_x=True)
-            np.add(e[:, 1:h], o[:, 1:h], out=flux_all[:, : h - 1])
-            flux_all[:, h - 1] = e[:, h]
-            np.subtract(
-                e[:, h - 1 : lo : -1], o[:, h - 1 : lo : -1], out=flux_all[:, h:]
-            )
-            flux *= flux_scale
-            state += flux
+            values = _fft.dst(state, type=3, n=cells, axis=1)
+            np.square(values, out=values)
+            sums = _fft.dct(values, type=2, axis=1, overwrite_x=True)
+            state += flux_scale * sums[:, 1 : d + 1]
             state *= damp
             if not np.all(np.isfinite(state)):
                 raise BlowUpError("non-finite Burgers state; reduce dt or amplitudes")
-    return state.copy()
+    return state
 
 
 def solver_threads() -> int:

@@ -15,6 +15,7 @@ from opwls.experiments import (
     build_measure,
     dataset_key,
     derive_seed,
+    format_cell,
     run,
     select_d_in,
     total_degree_prefix,
@@ -122,7 +123,7 @@ def stable_artifacts(out: Path) -> dict[str, bytes]:
     """The files the README promises are byte-identical across reruns."""
     coeffs = sorted((out / "coeffs").glob("*.csv"))
     assert coeffs
-    paths = [out / "results.csv", out / "gram.csv", *coeffs]
+    paths = [out / "results.csv", out / "gram.csv", out / "errors.json", *coeffs]
     return {str(p.relative_to(out)): p.read_bytes() for p in paths}
 
 
@@ -292,23 +293,27 @@ class TestBurgersRun:
 
     def test_mismatched_solver_sidecar_never_read(self, tmp_path):
         # a dataset cached under another solver configuration, as a run
-        # before a default changed would leave it, is solved again
+        # before a default changed would leave it, is solved again; so is
+        # one from the interval-grid solver, whose sidecar has the same
+        # fields but no collocation
         config = tiny_burgers(tmp_path, sweep=[1])
         result = run(config)
         first = stable_artifacts(result.out_dir)
         sidecars = sorted((result.out_dir / "dataset").glob("*.json"))
         resolved = [json.loads(p.read_text()) for p in sidecars]
-        assert resolved[0]["solver_config"]["grid_size"] == 47
-        for path, provenance in zip(sidecars, resolved):
-            stale = {**provenance["solver_config"], "grid_size": 63}
-            path.write_text(json.dumps({**provenance, "solver_config": stale}))
-            arrays = path.with_suffix(".npz")
-            with np.load(arrays) as stored:
-                garbage = {k: v + 1.0 for k, v in stored.items()}
-            np.savez(arrays, **garbage)
-        run(config)
-        assert stable_artifacts(result.out_dir) == first
-        assert [json.loads(p.read_text()) for p in sidecars] == resolved
+        solver = resolved[0]["solver_config"]
+        assert solver["grid_size"] == 47
+        interval_grid = {k: v for k, v in solver.items() if k != "collocation"}
+        for stale in ({**solver, "grid_size": 63}, interval_grid):
+            for path, provenance in zip(sidecars, resolved):
+                path.write_text(json.dumps({**provenance, "solver_config": stale}))
+                arrays = path.with_suffix(".npz")
+                with np.load(arrays) as stored:
+                    garbage = {k: v + 1.0 for k, v in stored.items()}
+                np.savez(arrays, **garbage)
+            run(config)
+            assert stable_artifacts(result.out_dir) == first
+            assert [json.loads(p.read_text()) for p in sidecars] == resolved
 
     def test_energy_fraction_lost_measured(self, tmp_path):
         # modes above d_out carry energy the truncation discards
@@ -440,6 +445,30 @@ def test_one_timing_row_per_result_row(tmp_path, make):
     assert timing_header[:keys] == header[:keys]
     assert [row[:keys] for row in timing_rows] == [row[:keys] for row in rows]
     assert len(rows) == result.results_rows
+
+
+@pytest.mark.parametrize(
+    "make",
+    [tiny_poisson2d, tiny_kernel, tiny_burgers, tiny_discrete, tiny_complexity],
+    ids=["poisson2d", "poisson1d_kernel", "burgers", "discrete_demo",
+         "complexity_sweep"],
+)
+def test_one_error_record_per_result_row(tmp_path, make):
+    # errors.json carries each fit's key columns, error quantiles and Gram
+    # summary, in results.csv's row order; test_byte_identical_rerun checks
+    # its bytes across a rerun, through stable_artifacts
+    result = run(make(tmp_path))
+    header, rows = read_csv(result.out_dir / "results.csv")
+    records = json.loads((result.out_dir / "errors.json").read_text())
+    keys = header[: header.index("M")]
+    assert len(records) == len(rows) == result.results_rows
+    for record, row in zip(records, rows):
+        assert [format_cell(record[k]) for k in keys] == row[: len(keys)]
+        assert format_cell(record["gap"]) == row[header.index("gap")]
+        assert format_cell(record["cond"]) == row[header.index("cond_G")]
+        assert record["block_size"] == record["N_eff"]
+        assert list(record["quantiles"]) == ["0.05", "0.5", "0.95"]
+        assert "mean_of_ratios" in record
 
 
 class TestCli:

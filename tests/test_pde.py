@@ -227,6 +227,28 @@ class TestBurgersSolver:
         dense = self.dense_evolve(u0, cfg)
         assert np.abs(burgers_evolve(u0, cfg) - dense).max() <= 1e-12
 
+    def test_one_step_matches_galerkin_flux(self):
+        # one step at the exactness bound (d_solve = 31, grid 47) with every
+        # mode excited, against the Galerkin flux <u u_x, sqrt(2) sin(j pi x)>
+        # by 256-point Gauss-Legendre quadrature, which uses no collocation
+        # grid; dt = 1 keeps the flux from cancelling against the state
+        cfg = small_burgers(nu=1e-3, T=1.0, dt=1.0, grid_size=47)
+        d = cfg.d_solve
+        assert d == 31
+        j = np.arange(1, d + 1)
+        u0 = 0.3 * np.random.default_rng(4).uniform(-1, 1, (3, d)) / j
+        damp = 1.0 / (1.0 + cfg.dt * cfg.viscosity * math.pi**2 * j**2)
+        flux = (u0 - burgers_evolve(u0, cfg) / damp) / cfg.dt
+
+        nodes, weights = np.polynomial.legendre.leggauss(256)
+        x, weights = (nodes + 1.0) / 2.0, weights / 2.0
+        sines = math.sqrt(2.0) * np.sin(math.pi * np.outer(j, x))
+        slopes = math.sqrt(2.0) * math.pi * j[:, None] * np.cos(
+            math.pi * np.outer(j, x)
+        )
+        galerkin = ((u0 @ sines) * (u0 @ slopes) * weights) @ sines.T
+        assert np.abs(flux - galerkin).max() <= 1e-13 * np.abs(galerkin).max()
+
     @staticmethod
     def full_grid_evolve(u0, cfg):
         # reference: the step on full-grid transforms, one DST-I over the
