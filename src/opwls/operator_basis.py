@@ -16,6 +16,13 @@ Two concrete families:
 Because output modes are orthonormal, the reciprocal Christoffel function of
 the operator space collapses to ``w * d_out * sum_lam phi_lam(f)^2`` and the
 optimal sampling weight to ``N_eff / sum_lam phi_lam(f)^2``.
+
+The tensor features are evaluated over a prefix tree of the index set: the
+parent of ``lam`` is ``lam`` with its last nonzero degree ``lam_j`` set to 0,
+and ``phi_lam = phi_parent * p^j_{lam_j}(fhat_j)`` costs one multiply.  The
+product of the nonzero factors is thus formed left to right in coordinate
+order, starting from the first of them, which is what the dense product over
+all coordinates gives too: its factors ``p_0 = 1`` change no bit.
 """
 
 from __future__ import annotations
@@ -34,6 +41,13 @@ __all__ = [
     "optimal_weight",
     "monomial_operator_eval",
 ]
+
+# Feature values evaluated per block of samples: about 512 KB of float64, so
+# a block's node values and temporaries stay in cache.  On a 2-core Xeon VM
+# (2 MiB L2 per core), at N_eff=641 and M=4143, a feature call took 8.5-10.5
+# ms at this size, 10-12 ms at half or twice it, and 21 ms with all samples
+# in one block.
+_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -103,6 +117,7 @@ class PolyOperatorBasis:
     scalar_indices: np.ndarray
     families: tuple[PolynomialFamily, ...]
     d_out: int
+    _plan: _ProductPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         indices = np.atleast_2d(np.asarray(self.scalar_indices, dtype=int))
@@ -117,6 +132,7 @@ class PolyOperatorBasis:
         for j, family in enumerate(self.families):
             if indices[:, j].max(initial=0) > family.n_max:
                 raise ValueError(f"family for mode {j} is too short")
+        object.__setattr__(self, "_plan", _product_plan(indices))
 
     @classmethod
     def build(
@@ -151,6 +167,13 @@ class PolyOperatorBasis:
         Accepts a single coefficient vector or an ``(M, d_in)`` batch.  Entries
         outside [-1, 1] are allowed but flagged with a warning: the features
         are then polynomial extrapolations, useful only for diagnostics.
+
+        One multiply per multi-index, over the prefix tree built with the
+        basis: the tree's levels run in feature-major ``(nodes, samples)``
+        blocks, parents before children, and each block is transposed into
+        the C-contiguous ``(M, N_eff)`` result.  Every feature is the same
+        left-to-right product of its nonzero factors as the dense product
+        over all coordinates, so the values are bitwise the same.
         """
         batch, single = _as_batch(fhat, self.d_in)
         if warn_extrapolation and np.any(np.abs(batch) > 1.0 + 1e-14):
@@ -159,15 +182,74 @@ class PolyOperatorBasis:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        out = np.ones((batch.shape[0], self.n_eff))
-        for j, family in enumerate(self.families):
-            degrees = self.scalar_indices[:, j]
-            top = int(degrees.max(initial=0))
-            if top == 0:
-                continue
-            table = poly_table(family, top, batch[:, j])
-            out *= table[degrees].T
+        plan = self._plan
+        m, n = batch.shape[0], self.n_eff
+        if plan.levels:
+            stacked = np.concatenate([
+                poly_table(family, top, batch[:, j])
+                for j, (family, top) in enumerate(zip(self.families, plan.tops))
+            ])
+        out = np.empty((m, n))
+        step = max(1, _BLOCK_VALUES // max(1, plan.n_nodes))
+        values = np.empty((plan.n_nodes, min(step, m)))
+        values[plan.roots] = 1.0
+        for start in range(0, m, step):
+            stop = min(start + step, m)
+            block = values[:, : stop - start]
+            for rows, parents, factors in plan.levels:
+                block[rows] = block[parents] * stacked[factors, start:stop]
+            out[start:stop] = block[:n].T
         return out[0] if single else out
+
+
+@dataclass(frozen=True)
+class _ProductPlan:
+    """Prefix tree of an index set: one multiply per multi-index.
+
+    Node ``k < N_eff`` is row ``k`` of the index set (a duplicated row is
+    computed twice); prefixes missing from a set that is not lower follow as
+    extra nodes.  ``roots`` are the zero nodes, of value 1.  Entry ``l - 1``
+    of ``levels`` holds the nodes with ``l`` nonzero degrees, their parents
+    and the rows of their last factor in the stacked per-coordinate tables,
+    where coordinate ``j`` holds degrees ``0..tops[j]``.
+    """
+
+    n_nodes: int
+    tops: tuple[int, ...]
+    roots: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _product_plan(indices: np.ndarray) -> _ProductPlan:
+    """Parent of ``lam``: ``lam`` with its last nonzero degree set to 0."""
+    tops = indices.max(axis=0, initial=0)
+    offsets = np.cumsum(tops + 1) - (tops + 1)
+    nodes = [tuple(row) for row in indices.tolist()]
+    node_of: dict[tuple[int, ...], int] = {}
+    for k, key in enumerate(nodes):
+        node_of.setdefault(key, k)
+    roots, links = [], []  # links: (nonzero count, node, parent, factor row)
+    for k, key in enumerate(nodes):  # missing prefixes are appended as it runs
+        nonzero = [j for j, degree in enumerate(key) if degree]
+        if not nonzero:
+            roots.append(k)
+            continue
+        j = nonzero[-1]
+        prefix = key[:j] + (0,) * (len(key) - j)
+        if prefix not in node_of:
+            node_of[prefix] = len(nodes)
+            nodes.append(prefix)
+        links.append((len(nonzero), k, node_of[prefix], offsets[j] + key[j]))
+    links = np.array(links, dtype=int).reshape(-1, 4)
+    levels = tuple(
+        tuple(links[links[:, 0] == level, 1:].T) for level in np.unique(links[:, 0])
+    )
+    return _ProductPlan(
+        n_nodes=len(nodes),
+        tops=tuple(int(top) for top in tops),
+        roots=np.array(roots, dtype=int),
+        levels=levels,
+    )
 
 
 def _as_batch(fhat: np.ndarray, d_in: int) -> tuple[np.ndarray, bool]:

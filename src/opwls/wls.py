@@ -111,9 +111,10 @@ def assemble(
         raise ValueError("samples, weights, and observations must agree in length")
     if np.any(weights <= 0.0):
         raise ValueError("weights must be strictly positive")
-    phi = np.atleast_2d(basis.scalar_features(samples))
+    design = np.atleast_2d(basis.scalar_features(samples))
     scale = np.sqrt(weights / m)[:, None]
-    return WlsSystem(design=scale * phi, targets=scale * observations)
+    design *= scale  # the feature matrix is fresh: scale it in place
+    return WlsSystem(design=design, targets=scale * observations)
 
 
 @dataclass(frozen=True)

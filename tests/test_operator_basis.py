@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from opwls.index_sets import IndexSetSpec, generate
+from opwls.experiments import total_degree_prefix
+from opwls.index_sets import IndexSetSpec, generate, is_monotone_lower
 from opwls.measures import ProductMeasure, build_family, gauss_rule, poly_table
 from opwls.operator_basis import (
     LinearRankOneBasis,
@@ -26,7 +27,67 @@ def small_poly_basis(d_out=3):
     return measure, PolyOperatorBasis.build(measure, generate(spec), d_out)
 
 
+def dense_features(basis, batch):
+    """Reference: the dense product over all coordinates, from 1.0, left to right."""
+    out = np.ones((batch.shape[0], basis.n_eff))
+    for j, family in enumerate(basis.families):
+        degrees = basis.scalar_indices[:, j]
+        top = int(degrees.max(initial=0))
+        if top == 0:
+            continue
+        out *= poly_table(family, top, batch[:, j])[degrees].T
+    return out
+
+
+def cross():
+    spec = IndexSetSpec(
+        kind="hyperbolic_cross", radius=8.0, gamma=np.ones(6), degree_cap=6
+    )
+    return generate(spec)
+
+
+def non_lower_subset():
+    # every other member of a cross: the zero index and many prefixes go
+    indices = cross()[1::2]
+    assert not is_monotone_lower(indices)
+    return indices
+
+
+def duplicated_rows():
+    indices = cross()
+    return np.vstack([indices, indices[[40, 0, 7, 40]]])
+
+
+FEATURE_SETS = {
+    "hyperbolic_cross": cross,
+    "total_degree_prefix": lambda: total_degree_prefix(6, 200),
+    "reversed": lambda: cross()[::-1],
+    "non_lower_subset": non_lower_subset,
+    "duplicated_rows": duplicated_rows,
+    "zero_only": lambda: np.zeros((1, 6), dtype=int),
+}
+
+
 class TestScalarFeatures:
+    @pytest.mark.parametrize("name", sorted(FEATURE_SETS))
+    def test_bitwise_equal_to_dense_product(self, name):
+        indices = FEATURE_SETS[name]()
+        measure = ProductMeasure.from_alphas([0.0, 1.0, 4.0, 9.0, 16.0, 25.0])
+        basis = PolyOperatorBasis.build(measure, indices, 2)
+        batch = np.random.default_rng(7).uniform(-1.0, 1.0, size=(3000, 6))
+        phi = basis.scalar_features(batch)
+        assert phi.flags["C_CONTIGUOUS"]
+        assert np.array_equal(phi, dense_features(basis, batch))
+        assert np.array_equal(basis.scalar_features(batch[5]), phi[5])
+        empty = basis.scalar_features(np.empty((0, 6)))
+        assert empty.shape == (0, basis.n_eff)
+
+    def test_same_arguments_compare_equal(self):
+        _, basis = small_poly_basis()
+        twin = PolyOperatorBasis(basis.scalar_indices, basis.families, basis.d_out)
+        assert twin == basis
+        assert "_plan" not in repr(basis)
+
     def test_zero_index_gives_one(self):
         _, basis = small_poly_basis()
         for fhat in ([0.0, 0.0], [0.3, -0.8], [1.0, 1.0]):

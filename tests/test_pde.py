@@ -218,9 +218,10 @@ class TestBurgersSolver:
         return state
 
     def test_smallest_grid_matches_dense_transforms(self):
-        # on grid 47 (h = 24) modes 25 .. 31 fold onto the half-length
-        # transforms, and mode 24 sits in the DST-III's last input; every
-        # one of the 31 modes starts excited
+        # grid 47 is the smallest odd grid for d_solve = 31: its L = 48 cell
+        # midpoints integrate the flux's cosines up to mode 3 * 31 = 93 < 2 L
+        # exactly, the narrowest margin the bound allows; every one of the
+        # 31 modes starts excited
         cfg = small_burgers(T=0.01, grid_size=47)
         rng = np.random.default_rng(2)
         u0 = 0.3 * rng.uniform(-1, 1, (4, cfg.d_solve)) / np.arange(1, cfg.d_solve + 1)
@@ -273,8 +274,9 @@ class TestBurgersSolver:
     )
     def test_split_transforms_match_full_grid(self, grid_size):
         # the paper's solver size for 50 steps, on criterion 6's input
-        # amplitudes; on the doubled grid the even half has more columns
-        # (h - 1 = 1023) than modes (d_solve = 511)
+        # amplitudes, against the interval-grid reference: on the default
+        # grid (767, L = 768 midpoints) and on the doubled one (2047), whose
+        # DST-III zero-pads 1537 of its L = 2048 inputs beyond d_solve = 511
         cfg = BurgersConfig.create(
             viscosity=0.1, final_time=50 * 1e-4, dt=1e-4, d_in=8, d_out=48,
             grid_size=grid_size,
