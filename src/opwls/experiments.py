@@ -851,7 +851,8 @@ def run(config: ExperimentConfig) -> RunResult:
         "package_version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "results_rows": len(rows),
-        # timings depend on these; result rows do not
+        # timings depend on these; the last digits of results also depend on
+        # the BLAS build and its thread count, which are not recorded here
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

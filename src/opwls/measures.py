@@ -149,6 +149,15 @@ class PolynomialFamily:
     n_max: int
     b: np.ndarray = field(repr=False)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.measure == other.measure
+            and self.n_max == other.n_max
+            and np.array_equal(self.b, other.b)
+        )
+
     def recurrence_offdiag(self, n: int) -> np.ndarray:
         """Off-diagonal coefficients up to index ``n`` (closed form, any ``n``)."""
         if n <= self.n_max:

@@ -78,6 +78,15 @@ class LinearRankOneBasis:
         if np.any(modes < 0) or np.any(modes >= self.d_in):
             raise ValueError("input modes out of range")
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            np.array_equal(self.input_modes, other.input_modes)
+            and np.array_equal(self.sigmas, other.sigmas)
+            and (self.d_out, self.d_in) == (other.d_out, other.d_in)
+        )
+
     @classmethod
     def from_measure(
         cls, measure: ProductMeasure, input_modes, d_out: int
@@ -133,6 +142,15 @@ class PolyOperatorBasis:
             if indices[:, j].max(initial=0) > family.n_max:
                 raise ValueError(f"family for mode {j} is too short")
         object.__setattr__(self, "_plan", _product_plan(indices))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            np.array_equal(self.scalar_indices, other.scalar_indices)
+            and self.families == other.families
+            and self.d_out == other.d_out
+        )
 
     @classmethod
     def build(

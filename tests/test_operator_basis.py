@@ -83,10 +83,25 @@ class TestScalarFeatures:
         assert empty.shape == (0, basis.n_eff)
 
     def test_same_arguments_compare_equal(self):
-        _, basis = small_poly_basis()
+        measure, basis = small_poly_basis()
         twin = PolyOperatorBasis(basis.scalar_indices, basis.families, basis.d_out)
         assert twin == basis
         assert "_plan" not in repr(basis)
+        # separate builds share no arrays
+        rebuilt = PolyOperatorBasis.build(measure, basis.scalar_indices.copy(), 3)
+        assert rebuilt == basis and not rebuilt != basis
+        linear = LinearRankOneBasis.from_measure(measure, [0, 1], 2)
+        assert linear == LinearRankOneBasis.from_measure(measure, [0, 1], 2)
+        assert linear != basis
+
+    def test_one_differing_index_compares_unequal(self):
+        measure, basis = small_poly_basis()
+        indices = basis.scalar_indices.copy()
+        indices[-1] = indices[-1][::-1]
+        assert not np.array_equal(indices, basis.scalar_indices)
+        assert PolyOperatorBasis.build(measure, indices, 3) != basis
+        linear = LinearRankOneBasis.from_measure(measure, [0, 1], 2)
+        assert LinearRankOneBasis.from_measure(measure, [1, 1], 2) != linear
 
     def test_zero_index_gives_one(self):
         _, basis = small_poly_basis()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opwls import wls
 from opwls.index_sets import IndexSetSpec, generate
 from opwls.measures import ProductMeasure, build_family, gauss_rule
 from opwls.operator_basis import PolyOperatorBasis
@@ -17,6 +18,7 @@ from opwls.sampling import (
     sample_optimal,
 )
 from opwls.wls import (
+    GRAM_RCOND,
     GramSummary,
     WlsSystem,
     assemble,
@@ -41,6 +43,20 @@ def small_basis(n_radius=2.0, d_in=2, d_out=3, alphas=None):
                         gamma=np.ones(d_in), degree_cap=6)
     basis = PolyOperatorBasis.build(measure, generate(spec), d_out)
     return measure, basis
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Arguments of every ``np.linalg.lstsq`` call the test makes."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(wls.np.linalg, "lstsq", counting)
+    return calls
 
 
 def fitted_system(seed=0, m=400, d_out=3):
@@ -169,8 +185,10 @@ class TestGramDiagnostics:
 class TestSolve:
     def test_exact_interpolation(self):
         basis, x, w, obs, coeff = fitted_system(seed=11)
-        estimate = solve(assemble(basis, x, w, obs), basis)
-        assert estimate.residual_norm <= 1e-10
+        system = assemble(basis, x, w, obs)
+        estimate = solve(system, basis)
+        misfit = system.design @ estimate.coefficients - system.targets
+        assert np.linalg.norm(misfit) <= 1e-10
         assert np.abs(estimate.coefficients - coeff).max() <= 1e-10
 
     def test_block_equals_monolithic(self):
@@ -219,14 +237,77 @@ class TestSolve:
         estimate = solve(assemble(basis, x, w, apply_target(x)), basis)
         assert np.abs(estimate.coefficients - oracle).max() <= 1e-3
 
-    def test_rank_deficiency_degrades_gracefully(self):
+    def test_rank_deficiency_degrades_gracefully(self, lstsq_calls):
         design = np.zeros((4, 3))
         design[:, 0] = 1.0
         system = WlsSystem(design=design, targets=np.ones((4, 1)))
         estimate = solve(system)
+        assert len(lstsq_calls) == 1
         assert estimate.rank == 1
         # minimum-norm solution: only the live direction carries weight
         assert np.abs(estimate.coefficients[1:]).max() <= 1e-12
+
+
+def design_with_condition(condition, m=40, n=5, seed=0):
+    """Orthonormal columns scaled so that the Gram's spectrum spans [1/condition, 1]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(m, n)))
+    scales = np.sqrt(np.geomspace(1.0, 1.0 / condition, n))
+    return WlsSystem(design=q * scales, targets=rng.normal(size=(m, 3)))
+
+
+class TestSolveGate:
+    def test_well_conditioned_takes_gram_path(self, lstsq_calls):
+        rng = np.random.default_rng(31)
+        system = WlsSystem(design=rng.normal(size=(200, 12)),
+                           targets=rng.normal(size=(200, 4)))
+        estimate = solve(system)
+        assert lstsq_calls == []
+        assert estimate.rank == 12
+        reference, *_ = np.linalg.lstsq(system.design, system.targets, rcond=None)
+        error = np.abs(estimate.coefficients - reference).max()
+        assert error <= 1e-12 * np.abs(reference).max()
+
+    def test_just_above_the_gate_takes_lstsq(self, lstsq_calls):
+        system = design_with_condition(1.01 / GRAM_RCOND)
+        eigenvalues = system.gram_eigenvalues
+        assert eigenvalues[0] < GRAM_RCOND * eigenvalues[-1]
+        estimate = solve(system)
+        assert len(lstsq_calls) == 1
+        reference, _, rank, _ = np.linalg.lstsq(
+            system.design, system.targets, rcond=wls.RANK_RTOL
+        )
+        assert estimate.rank == rank == system.n_eff
+        assert np.array_equal(estimate.coefficients, reference)
+
+    def test_just_below_the_gate_takes_gram_path(self, lstsq_calls):
+        system = design_with_condition(0.99 / GRAM_RCOND)
+        eigenvalues = system.gram_eigenvalues
+        assert eigenvalues[0] > GRAM_RCOND * eigenvalues[-1]
+        estimate = solve(system)
+        assert lstsq_calls == []
+        assert estimate.rank == system.n_eff
+        reference, *_ = np.linalg.lstsq(system.design, system.targets, rcond=None)
+        # forward error of the normal equations: about cond(G) * u
+        error = np.abs(estimate.coefficients - reference).max()
+        assert error <= 1e-6 * np.abs(reference).max()
+
+    def test_diagnostics_and_solve_share_one_gram(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(matrix):
+            calls.append(matrix)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(wls.np.linalg, "eigvalsh", counting)
+        basis, x, w, obs, _ = fitted_system(seed=29)
+        system = assemble(basis, x, w, obs)
+        gram_diagnostics(system)
+        solve(system, basis)
+        assert system.gram() is system.gram()
+        assert len(calls) == 1 and calls[0] is system.gram()
+        assert not system.gram().flags.writeable
 
 
 class TestPredict:
