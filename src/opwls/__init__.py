@@ -5,6 +5,16 @@ coefficient pairs: orthonormal operator bases (rank-one linear and tensor
 polynomial), Christoffel-function optimal sampling, block-separable weighted
 least-squares solves with stability diagnostics, and desk-scale spectral PDE
 benchmarks (Poisson, viscous Burgers).
+
+All dense linear algebra runs on numpy's LAPACK; nothing imports
+``scipy.linalg``.  The numpy and scipy wheels each bundle their own
+OpenBLAS, and loading ``scipy.linalg`` maps the second one into the process
+next to numpy's.  A variant that factored the Gram with ``scipy.linalg``
+(``dpotrf``/``dpocon``/``cho_solve``) made the ``cli-presets`` benchmark
+slower on a 2-core machine, from 1.43-1.56 s to 1.97-2.19 s of wall time and
+from 2.8-3.1 s to 3.9-4.4 s of CPU time for the same arithmetic, most likely
+from the two thread pools contending.  ``scipy.fft``, which carries no BLAS,
+is loaded by the first Burgers solve.
 """
 
 __version__ = "0.1.0"

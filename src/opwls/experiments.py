@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import platform
 import time
 from collections.abc import Callable
@@ -446,7 +447,12 @@ def write_coefficients(path: Path, estimate, basis) -> None:
         header = [str(int(m)) for m in basis.input_modes]
     else:  # cloud-orthonormal features have no index set entry of their own
         header = [f"b{j}" for j in range(basis.n_eff)]
-    write_csv(path, header, [list(col) for col in estimate.coefficients.T])
+    # every cell is a float: format the Python floats directly, which gives
+    # the bytes format_cell gives for the numpy ones
+    lines = [",".join(header)]
+    lines += [",".join([FLOAT_FMT % v for v in row])
+              for row in estimate.coefficients.T.tolist()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def dataset_key(cfg_hash: str, sampler: str, seed: int, m: int) -> str:
@@ -515,11 +521,18 @@ def _or_nan(value: float | None) -> float:
 
 
 def measure_draw(measure: ProductMeasure, basis) -> Callable:
-    """``draw(sampler, rng, size)`` from the optimal or the base measure."""
-    tables = build_induced_tables(measure, basis)
-    plan = mixture_plan(basis)
+    """``draw(sampler, rng, size)`` from the optimal or the base measure.
+
+    The mixture plan and the induced tables are built by the first draw, so
+    a run whose datasets all come from the cache builds none.
+    """
+
+    @cache
+    def sampler_state():
+        return mixture_plan(basis), build_induced_tables(measure, basis)
 
     def draw(sampler: str, rng: RngSeed, size: int):
+        plan, tables = sampler_state()
         if sampler == "optimal":
             return sample_optimal(plan, tables, rng, size, basis)
         return sample_monte_carlo(measure, rng, size, tables=tables)
@@ -839,12 +852,27 @@ FIT_SPECS = {
 # entry point
 
 
+def blas_threads() -> int:
+    """Threads numpy's OpenBLAS runs with, as it reads them at start-up.
+
+    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else the cores
+    available to the process; a value that is not a positive integer counts
+    as unset.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return len(os.sched_getaffinity(0))
+
+
 def run(config: ExperimentConfig) -> RunResult:
     """Validate, execute, and write all artifacts of one experiment run."""
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = fit_sweep(config, out, FIT_SPECS[config.experiment](config))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "config": asdict(config),
         "config_hash": config.content_hash(),
@@ -852,11 +880,14 @@ def run(config: ExperimentConfig) -> RunResult:
         "created_at": datetime.now(timezone.utc).isoformat(),
         "results_rows": len(rows),
         # timings depend on these; the last digits of results also depend on
-        # the BLAS build and its thread count, which are not recorded here
+        # the BLAS build and its thread count, recorded here as numpy reports
+        # the build and as its OpenBLAS reads the count
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_threads": blas_threads(),
             "burgers_threads": solver_threads(),
         },
     }

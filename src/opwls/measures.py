@@ -16,7 +16,8 @@ normalized to unit mass.  The law is centered with second moment
   symmetric tridiagonal recurrence matrix.
 
 All objects are immutable after construction and safe to share across
-concurrent workers.
+concurrent workers; a measure's memo of Gauss rules only ever gains rules
+that any worker would compute bit for bit alike.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "UnivariateMeasure",
@@ -46,9 +46,14 @@ _ALPHA_FLOOR = -0.999
 
 @dataclass(frozen=True)
 class UnivariateMeasure:
-    """Symmetric Jacobi probability measure on [-1, 1] with exponent ``alpha``."""
+    """Symmetric Jacobi probability measure on [-1, 1] with exponent ``alpha``.
+
+    ``_rules`` memoizes :func:`gauss_rule` by order; it takes no part in
+    equality, hashing or ``repr``.
+    """
 
     alpha: float
+    _rules: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha) or self.alpha < _ALPHA_FLOOR:
@@ -223,18 +228,34 @@ def default_quadrature_order(n_max: int) -> int:
 def gauss_rule(family: PolynomialFamily, order: int) -> QuadratureRule:
     """Gauss rule of the family's measure via the tridiagonal eigenproblem.
 
-    Nodes are the roots of ``p_order``; the weight at node ``x_q`` equals
-    ``1 / sum_{j < order} p_j(x_q)^2``.
+    Nodes are the roots of ``p_order``, the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix (Golub and Welsch, 1969); the weight at node
+    ``x_q`` equals ``1 / sum_{j < order} p_j(x_q)^2``.  ``eigvalsh`` reads only
+    the lower band, and LAPACK's ``dsytrd`` leaves a tridiagonal matrix as it
+    is, so the eigenvalues come from the same ``dsterf`` iteration a
+    tridiagonal solver runs.
+
+    The recurrence is closed form in the measure, so the rule depends only on
+    the measure and the order: it is computed once per measure and order, and
+    its arrays are read-only.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    b = family.recurrence_offdiag(order)
-    try:
-        nodes = eigh_tridiagonal(
-            np.zeros(order), b[1:order], eigvals_only=True
+    rules = family.measure._rules
+    rule = rules.get(order)
+    if rule is None:
+        b = family.recurrence_offdiag(order)
+        jacobi = np.zeros((order, order))
+        jacobi.flat[order :: order + 1] = b[1:order]
+        try:
+            nodes = np.linalg.eigvalsh(jacobi, UPLO="L")
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+            raise RuntimeError("quadrature eigen-solve did not converge") from exc
+        table = poly_table(family, order - 1, nodes)
+        weights = 1.0 / np.sum(table * table, axis=0)
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        rule = rules.setdefault(
+            order, QuadratureRule(nodes=nodes, weights=weights, order=order)
         )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy rarely fails
-        raise RuntimeError("quadrature eigen-solve did not converge") from exc
-    table = poly_table(family, order - 1, nodes)
-    weights = 1.0 / np.sum(table * table, axis=0)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    return rule

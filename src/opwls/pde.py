@@ -33,7 +33,6 @@ from itertools import repeat
 from numbers import Integral
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "BurgersConfig",
@@ -261,6 +260,9 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
     rows.  Returns all ``d_solve`` coefficients at the final time; callers
     truncate.
     """
+    # scipy.fft is loaded by the first solve, not by ``import opwls``
+    from scipy import fft
+
     u0 = np.atleast_2d(np.asarray(u0hat, dtype=float))
     if u0.shape[1] > config.d_solve:
         raise ValueError("initial coefficients exceed the solver dimension")
@@ -278,9 +280,9 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
     # a blow-up overflows the squares first; the finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            values = _fft.dst(state, type=3, n=cells, axis=1)
+            values = fft.dst(state, type=3, n=cells, axis=1)
             np.square(values, out=values)
-            sums = _fft.dct(values, type=2, axis=1, overwrite_x=True)
+            sums = fft.dct(values, type=2, axis=1, overwrite_x=True)
             state += flux_scale * sums[:, 1 : d + 1]
             state *= damp
             if not np.all(np.isfinite(state)):

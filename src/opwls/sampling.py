@@ -27,10 +27,9 @@ distributed over workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .measures import (
     PolynomialFamily,
@@ -59,6 +58,16 @@ __all__ = [
 ]
 
 _COLUMN_SUM_TOL = 1e-8
+
+
+def _arrays_equal(plan, other) -> bool:
+    # the generated __eq__ would compare the ndarray fields by ``==`` and raise
+    if type(other) is not type(plan):
+        return NotImplemented
+    return all(
+        np.array_equal(getattr(plan, f.name), getattr(other, f.name))
+        for f in fields(plan)
+    )
 
 
 @dataclass(frozen=True)
@@ -180,6 +189,8 @@ class MixturePlan:
         if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("component probabilities must be a distribution")
 
+    __eq__ = _arrays_equal
+
 
 def mixture_plan(basis) -> MixturePlan:
     """Optimal-measure mixture of a linear or polynomial operator basis."""
@@ -294,13 +305,18 @@ class DiscretePlan:
     ``transform`` is the upper-triangular factor ``R`` of the thin QR of the
     scaled feature matrix; the cloud-orthonormal features are
     ``b(x) = R^{-T} phi(x)``, with ``b_j(x_i) = sqrt(S) Q_{ij}`` on the cloud.
+    ``transform_inverse`` is ``R^{-1}``, formed once, so a batch of row
+    features maps to b-features by one product, ``phi @ R^{-1}``.
     """
 
     points: np.ndarray
     probabilities: np.ndarray
     transform: np.ndarray = field(repr=False)
+    transform_inverse: np.ndarray = field(repr=False)
     b_values: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    __eq__ = _arrays_equal
 
     @property
     def n_points(self) -> int:
@@ -312,8 +328,7 @@ class DiscretePlan:
 
     def b_features(self, fhat: np.ndarray, raw_features) -> np.ndarray:
         """Cloud-orthonormal features at arbitrary inputs."""
-        phi = np.atleast_2d(raw_features(fhat))
-        return solve_triangular(self.transform.T, phi.T, lower=True).T
+        return np.atleast_2d(raw_features(fhat)) @ self.transform_inverse
 
 
 def build_discrete_plan(points: np.ndarray, raw_features) -> DiscretePlan:
@@ -346,6 +361,7 @@ def build_discrete_plan(points: np.ndarray, raw_features) -> DiscretePlan:
         points=points,
         probabilities=probabilities,
         transform=r,
+        transform_inverse=np.linalg.inv(r),
         b_values=b_values,
         weights=weights,
     )

@@ -21,13 +21,6 @@ Gram it is as accurate as an orthogonal factorization of the design, and an
 order of magnitude cheaper (at N_eff=641, M=4143, d_out=48: 19 ms against
 229 ms for ``lstsq``).  A design that fails the gate goes to the SVD-based
 ``lstsq``, which returns the minimum-norm solution and the numerical rank.
-
-Only numpy's LAPACK is used here.  The numpy and scipy wheels each bundle
-their own OpenBLAS, and both end up mapped into one process; a variant that
-factored the Gram with ``scipy.linalg`` (``dpotrf``/``dpocon``/``cho_solve``)
-made the ``cli-presets`` benchmark slower on a 2-core machine, from 1.43-1.56 s
-to 1.97-2.19 s of wall time and from 2.8-3.1 s to 3.9-4.4 s of CPU time for
-the same arithmetic, most likely from the two thread pools contending.
 """
 
 from __future__ import annotations

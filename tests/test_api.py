@@ -5,6 +5,11 @@ call the ones below; a name cut from the API would make every unit of a
 workload fail rather than fail a module test.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import opwls
 from opwls import cli, experiments
 
@@ -33,3 +38,17 @@ def test_called_names_are_exported():
     assert not missing
     assert callable(experiments.demo_target)
     assert callable(cli.main)
+
+
+def test_cli_import_loads_no_scipy_linalg_or_fft():
+    # scipy.linalg would map a second OpenBLAS next to numpy's; scipy.fft is
+    # loaded by the first Burgers solve
+    probe = (
+        "import sys, opwls.cli; "
+        "print(sorted({'scipy.linalg', 'scipy.fft'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(opwls.__file__).resolve().parents[1])},
+    )
+    assert out.stdout.strip() == "[]"

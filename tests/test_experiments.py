@@ -1,17 +1,23 @@
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy
 
+import opwls
 from opwls.cli import main
 from opwls.experiments import (
     PRESETS,
     ConfigError,
     ExperimentConfig,
+    blas_threads,
     build_measure,
     dataset_key,
     derive_seed,
@@ -19,6 +25,8 @@ from opwls.experiments import (
     run,
     select_d_in,
     total_degree_prefix,
+    write_coefficients,
+    write_csv,
 )
 
 
@@ -365,6 +373,71 @@ def test_cache_read_without_write_datasets(tmp_path, monkeypatch):
     config.write_datasets = False
     run(config)
     assert stable_artifacts(Path(config.out_dir)) == first
+
+
+def test_warm_run_builds_no_tables(tmp_path, monkeypatch):
+    config = tiny_poisson2d(tmp_path, trials=1, sweep=[4])
+    run(config)
+    first = stable_artifacts(Path(config.out_dir))
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a run whose datasets are cached built tables")
+
+    monkeypatch.setattr("opwls.experiments.build_induced_tables", no_tables)
+    run(config)
+    assert stable_artifacts(Path(config.out_dir)) == first
+
+
+def test_coefficients_formatted_as_cells(tmp_path):
+    coefficients = np.random.default_rng(3).normal(size=(4, 3)) * [1e-300, 1.0, 1e17]
+    coefficients[0, 0], coefficients[1, 1], coefficients[2, 2] = -0.0, np.nan, -np.inf
+    estimate = SimpleNamespace(coefficients=coefficients)
+    basis = SimpleNamespace(n_eff=4)
+    write_coefficients(tmp_path / "c.csv", estimate, basis)
+    header = [f"b{j}" for j in range(4)]
+    write_csv(tmp_path / "ref.csv", header, [list(col) for col in coefficients.T])
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def run_in_subprocess(config, env_overrides):
+    """``opwls run`` on ``config`` in a fresh interpreter; its manifest."""
+    path = Path(config.out_dir).with_suffix(".json")
+    path.write_text(config.to_json(), encoding="utf-8")
+    src = str(Path(opwls.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(env_overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "opwls.cli", "run", str(path)],
+                   env=env, check=True, capture_output=True)
+    return json.loads((Path(config.out_dir) / "manifest.json").read_text())
+
+
+def test_manifest_records_blas_and_its_threads(tmp_path):
+    grams = []
+    for threads in (1, 2):
+        config = tiny_poisson2d(tmp_path, out_dir=str(tmp_path / f"t{threads}"))
+        manifest = run_in_subprocess(config, {"OPENBLAS_NUM_THREADS": str(threads)})
+        environment = manifest["environment"]
+        assert environment["blas_threads"] == threads
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert environment["blas"] == f"{blas['name']} {blas['version']}"
+        lines = (Path(config.out_dir) / "gram.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        grams.append(np.array([[float(row.split(",")[header.index(c)])
+                                for c in ("gap", "cond")] for row in lines[1:]]))
+    # across thread counts the BLAS reductions may round differently
+    assert np.all(np.abs(grams[0] - grams[1]) <= 1e-13 * np.abs(grams[0]))
+
+
+def test_blas_threads_follow_openblas_then_omp(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "5")
+    assert blas_threads() == 3
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert blas_threads() == 5
+    monkeypatch.setenv("OMP_NUM_THREADS", "none")
+    assert blas_threads() == len(os.sched_getaffinity(0))
 
 
 def test_kernel_coefficients_from_first_sampler(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -124,6 +126,58 @@ class TestGaussRule:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             gauss_rule(build_family(UnivariateMeasure(0.0), 1), 0)
+
+    # the l1_cubed rule's alphas: (n1 + n2)^3 over modes n1, n2 in 1..10
+    @pytest.mark.parametrize(
+        "alpha", [-0.5, 0.0, 1.0, 4.0, 100.0, 8000.0]
+        + [float(s**3) for s in range(2, 21)],
+    )
+    def test_nodes_bitwise_equal_to_tridiagonal_solver(self, alpha):
+        # numpy's dense symmetric solver leaves a tridiagonal matrix as it is
+        # and runs the same dsterf iteration as scipy's tridiagonal one
+        from scipy.linalg import eigh_tridiagonal
+
+        fam = build_family(UnivariateMeasure(alpha), 60)
+        for order in range(1, 61):
+            b = fam.recurrence_offdiag(order)
+            expected = eigh_tridiagonal(np.zeros(order), b[1:order], eigvals_only=True)
+            assert np.array_equal(gauss_rule(fam, order).nodes, expected), order
+
+    def test_rule_computed_once_per_measure_and_order(self):
+        measure = UnivariateMeasure(2.0)
+        rule = gauss_rule(build_family(measure, 3), 9)
+        # another family of the same measure shares the rule
+        assert gauss_rule(build_family(measure, 7), 9) is rule
+        assert gauss_rule(build_family(measure, 3), 10) is not rule
+        fresh = gauss_rule(build_family(UnivariateMeasure(2.0), 3), 9)
+        assert fresh is not rule
+        assert np.array_equal(fresh.nodes, rule.nodes)
+        assert np.array_equal(fresh.weights, rule.weights)
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        # the memo takes no part in equality, hashing or repr
+        assert measure == UnivariateMeasure(2.0)
+        assert hash(measure) == hash(UnivariateMeasure(2.0))
+        assert repr(measure) == "UnivariateMeasure(alpha=2.0)"
+
+    def test_threads_sharing_a_measure_get_one_rule_per_order(self):
+        measure = UnivariateMeasure(4.0)
+        orders = range(1, 41)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(
+                    lambda _: [gauss_rule(build_family(measure, 3), q) for q in orders],
+                    range(8),
+                    timeout=60,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        for q, rules in zip(orders, zip(*seen)):
+            assert all(rule is rules[0] for rule in rules)
+            fresh = gauss_rule(build_family(UnivariateMeasure(4.0), 3), q)
+            assert np.array_equal(rules[0].nodes, fresh.nodes)
+            assert np.array_equal(rules[0].weights, fresh.weights)
 
 
 class TestInvariants:

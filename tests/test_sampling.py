@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from opwls.operator_basis import (
 )
 from opwls.sampling import (
     DiscreteFeatureBasis,
+    MixturePlan,
     RngSeed,
     build_discrete_plan,
     build_induced_table,
@@ -140,6 +141,17 @@ class TestMixturePlan:
         assert plan.probabilities == pytest.approx([1.0])
         # the degree-1 polynomial of mode 1: a one-hot degree row
         assert plan.components.tolist() == [[0, 1]]
+
+    def test_plans_from_separate_calls_compare_equal(self):
+        measure = ProductMeasure.from_alphas([0.0, 1.0])
+        spec = IndexSetSpec(kind="lp_ball", p=1.0, radius=2.0,
+                            gamma=np.ones(2), degree_cap=4)
+        plan = mixture_plan(PolyOperatorBasis.build(measure, generate(spec), 3))
+        assert plan == mixture_plan(PolyOperatorBasis.build(measure, generate(spec), 3))
+        skewed = plan.probabilities.copy()
+        skewed[[0, 1]] += [0.125, -0.125]
+        assert plan != MixturePlan(plan.components, skewed)
+        assert plan != "plan"
 
 
 def reference_sample_optimal(plan, tables, rng, n_samples):
@@ -347,6 +359,27 @@ class TestDiscretePlan:
         assert np.abs(base.probabilities - remixed.probabilities).max() <= 1e-10
         permuted = build_discrete_plan(cloud, lambda x: features(x)[:, ::-1])
         assert np.abs(base.probabilities - permuted.probabilities).max() <= 1e-10
+
+    def test_b_features_match_triangular_solve(self, rng):
+        from scipy.linalg import solve_triangular
+
+        _, features = self.poly_features()
+        cloud = rng.uniform(-1, 1, (80, 3))
+        plan = build_discrete_plan(cloud, features)
+        x = rng.uniform(-1, 1, (50, 3))
+        expected = solve_triangular(plan.transform.T, features(x).T, lower=True).T
+        got = plan.b_features(x, features)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_plans_from_separate_calls_compare_equal(self, rng):
+        _, features = self.poly_features()
+        cloud = rng.uniform(-1, 1, (60, 3))
+        plan = build_discrete_plan(cloud, features)
+        assert plan == build_discrete_plan(cloud.copy(), features)
+        skewed = plan.probabilities.copy()
+        skewed[[0, 1]] += [0.125, -0.125]
+        assert plan != replace(plan, probabilities=skewed)
+        assert plan != "plan"
 
     def test_rank_deficiency_reported(self, rng):
         cloud = rng.uniform(-1, 1, (20, 2))
