@@ -52,10 +52,7 @@ class SobolevWeighting:
     @classmethod
     def for_modes(cls, alpha: float, modes) -> "SobolevWeighting":
         modes = np.atleast_1d(np.asarray(modes, dtype=float))
-        if modes.ndim == 1:
-            norm_sq = modes**2
-        else:
-            norm_sq = np.sum(modes**2, axis=1)
+        norm_sq = modes**2 if modes.ndim == 1 else np.sum(modes**2, axis=1)
         weights = (1.0 + norm_sq) ** alpha
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("Sobolev weights must be positive and finite")

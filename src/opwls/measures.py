@@ -127,13 +127,9 @@ def _recurrence_offdiag(alpha: float, n: int) -> np.ndarray:
     b = np.zeros(n + 1)
     if n >= 1:
         b[1] = math.sqrt(1.0 / (2.0 * alpha + 3.0))
-    for m in range(2, n + 1):
-        beta = (
-            m
-            * (m + 2.0 * alpha)
-            / ((2.0 * m + 2.0 * alpha + 1.0) * (2.0 * m + 2.0 * alpha - 1.0))
-        )
-        b[m] = math.sqrt(beta)
+    m, two_alpha = np.arange(2.0, n + 1), 2.0 * alpha
+    low, high = 2.0 * m + two_alpha - 1.0, 2.0 * m + two_alpha + 1.0
+    b[2:] = np.sqrt(m * (m + two_alpha) / (high * low))
     return b
 
 

@@ -23,6 +23,10 @@ and ``phi_lam = phi_parent * p^j_{lam_j}(fhat_j)`` costs one multiply.  The
 product of the nonzero factors is thus formed left to right in coordinate
 order, starting from the first of them, which is what the dense product over
 all coordinates gives too: its factors ``p_0 = 1`` change no bit.
+
+Every ``scalar_features`` returns a fresh array that the caller owns:
+:func:`christoffel` and :func:`optimal_weight` square it in place, and
+``wls.assemble`` scales it in place into the design matrix.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ class LinearRankOneBasis:
         ]
 
     def scalar_features(self, fhat: np.ndarray) -> np.ndarray:
-        """Normalized selected coordinates ``fhat_{n1} / sigma_{n1}``."""
+        """Normalized selected coordinates ``fhat_{n1} / sigma_{n1}``, freshly made."""
         batch, single = _as_batch(fhat, self.d_in)
         out = batch[:, self.input_modes] / self.sigmas
         return out[0] if single else out
@@ -191,7 +195,8 @@ class PolyOperatorBasis:
         blocks, parents before children, and each block is transposed into
         the C-contiguous ``(M, N_eff)`` result.  Every feature is the same
         left-to-right product of its nonzero factors as the dense product
-        over all coordinates, so the values are bitwise the same.
+        over all coordinates, so the values are bitwise the same.  The result
+        is a fresh array (see the module docstring).
         """
         batch, single = _as_batch(fhat, self.d_in)
         if warn_extrapolation and np.any(np.abs(batch) > 1.0 + 1e-14):
@@ -288,7 +293,7 @@ def christoffel(basis, fhat: np.ndarray, weight: float = 1.0) -> float | np.ndar
     if np.any(np.asarray(weight) <= 0.0):
         raise ValueError("weight must be strictly positive")
     phi = basis.scalar_features(fhat)
-    total = np.sum(np.square(phi), axis=-1)
+    total = np.sum(np.square(phi, out=phi), axis=-1)
     return weight * basis.d_out * total
 
 
@@ -299,7 +304,7 @@ def optimal_weight(basis, fhat: np.ndarray) -> float | np.ndarray:
     features vanish, which cannot happen when the zero index is a member.
     """
     phi = basis.scalar_features(fhat)
-    total = np.sum(np.square(phi), axis=-1)
+    total = np.sum(np.square(phi, out=phi), axis=-1)
     if np.any(total <= 0.0):
         raise ZeroDivisionError(
             "all scalar features vanish at an input; the optimal weight is undefined"

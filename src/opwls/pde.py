@@ -28,7 +28,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from numbers import Integral
 
@@ -211,18 +211,9 @@ class BurgersConfig:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "viscosity": self.viscosity,
-            "final_time": self.final_time,
-            "dt": self.dt,
-            "d_solve": self.d_solve,
-            "grid_size": self.grid_size,
-            "d_in": self.d_in,
-            "d_out": self.d_out,
-            # recorded so that a dataset cached by a solver collocated
-            # elsewhere (the interval grid) is solved again, never read
-            "collocation": "midpoint",
-        }
+        # collocation is recorded so that a dataset cached by a solver
+        # collocated elsewhere (the interval grid) is solved again, never read
+        return {**asdict(self), "collocation": "midpoint"}
 
 
 class BlowUpError(RuntimeError):

@@ -28,6 +28,8 @@ distributed over workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
+from types import MethodType
 
 import numpy as np
 
@@ -89,8 +91,6 @@ class RngSeed:
         """Uniforms for ``n_rows`` samples, ``row_width`` per sample."""
         padded = self._padded(row_width)
         gen = np.random.Generator(np.random.Philox(key=self.seed))
-        if n_rows == 0:
-            return np.empty((0, row_width))
         return gen.random((n_rows, padded))[:, :row_width]
 
     def substream(self, row: int, row_width: int) -> np.ndarray:
@@ -215,14 +215,11 @@ def build_induced_tables(
     rule size is tied to the largest degree present, matching the rule used
     for feature evaluation.
     """
-    d_in = len(measure)
-    components = (
-        np.zeros((1, d_in), dtype=int)
-        if basis is None
-        else mixture_plan(basis).components
-    )
+    components = np.zeros((1, len(measure)), dtype=int)
+    if basis is not None:
+        components = mixture_plan(basis).components
     tables = {}
-    for j in range(d_in):
+    for j in range(len(measure)):
         degrees = np.unique(components[:, j])
         family = build_family(measure.marginals[j], max(int(degrees[-1]), 1))
         tables[j] = build_induced_table(family, degrees, order)
@@ -245,17 +242,6 @@ def _draw_base(
     return u, samples
 
 
-def _component_rows(component_idx: np.ndarray, n_components: int):
-    order = np.argsort(component_idx, kind="stable")
-    sorted_idx = component_idx[order]
-    starts = np.searchsorted(sorted_idx, np.arange(n_components), side="left")
-    ends = np.searchsorted(sorted_idx, np.arange(n_components), side="right")
-    for c in range(n_components):
-        rows = order[starts[c] : ends[c]]
-        if rows.size:
-            yield c, rows
-
-
 def sample_optimal(
     plan: MixturePlan,
     tables: dict[int, InducedTable],
@@ -269,18 +255,24 @@ def sample_optimal(
     (base or induced) discretized law, and attach the optimal weight
     ``w(f) = N_eff / sum phi(f)^2``.  Sample ``i`` consumes row ``i`` of the
     uniform block: column 0 selects the component, column ``1 + j``
-    coordinate ``j``.
+    coordinate ``j``.  The draw groups rows by (coordinate, degree): the
+    samples whose component has degree ``d > 0`` at ``j`` are inverted at
+    once from the degree-``d`` column, at the uniforms a row-by-row draw
+    would use, so the samples are bitwise those of one.
     """
     u, samples = _draw_base(tables, rng, n_samples)
     cum = np.cumsum(plan.probabilities)
     cum[-1] = 1.0
     component_idx = np.searchsorted(cum, u[:, 0], side="left")
-    for c, rows in _component_rows(component_idx, len(plan.components)):
-        degrees = plan.components[c]
-        for j in np.flatnonzero(degrees):
-            samples[rows, j] = _invert(
-                tables[j].nodes, tables[j].cdf[int(degrees[j])], u[rows, 1 + j]
-            )
+    for j in range(len(tables)):
+        column = plan.components[:, j]
+        degree = column[component_idx]
+        for d in range(1, int(column.max(initial=0)) + 1):
+            rows = np.flatnonzero(degree == d)
+            if rows.size:
+                samples[rows, j] = _invert(
+                    tables[j].nodes, tables[j].cdf[d], u[rows, 1 + j]
+                )
     weights = np.atleast_1d(optimal_weight(basis, samples))
     return samples, weights
 
@@ -353,8 +345,7 @@ def build_discrete_plan(points: np.ndarray, raw_features) -> DiscretePlan:
         raise ValueError(
             f"feature matrix is rank deficient on the cloud: rank {rank} < {n_eff}"
         )
-    q_sq = np.square(q)
-    probabilities = q_sq.sum(axis=1) / n_eff
+    probabilities = np.square(q).sum(axis=1) / n_eff
     b_values = np.sqrt(s) * q
     weights = n_eff / np.sum(np.square(b_values), axis=1)
     return DiscretePlan(
@@ -391,6 +382,12 @@ class DiscreteFeatureBasis:
     raw_features: object
     d_out: int
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        same = self.plan == other.plan and self.d_out == other.d_out
+        return same and _same_map(self.raw_features, other.raw_features)
+
     @property
     def n_eff(self) -> int:
         return self.plan.n_eff
@@ -400,7 +397,18 @@ class DiscreteFeatureBasis:
         return self.n_eff * self.d_out
 
     def scalar_features(self, fhat: np.ndarray) -> np.ndarray:
+        """The plan's b-features at ``fhat``, as a fresh array."""
         arr = np.asarray(fhat, dtype=float)
         single = arr.ndim == 1
         out = self.plan.b_features(arr, self.raw_features)
         return out[0] if single else out
+
+
+def _same_map(f, g) -> bool:
+    # partial has no __eq__, and a bound method compares its instance by identity
+    if isinstance(f, partial) and isinstance(g, partial):
+        same_args = (f.args, f.keywords) == (g.args, g.keywords)
+        return same_args and _same_map(f.func, g.func)
+    if isinstance(f, MethodType) and isinstance(g, MethodType):
+        return f.__func__ is g.__func__ and f.__self__ == g.__self__
+    return f is g

@@ -14,7 +14,12 @@ from opwls.operator_basis import (
     monomial_operator_eval,
     optimal_weight,
 )
-from opwls.sampling import RngSeed, sample_monte_carlo
+from opwls.sampling import (
+    DiscreteFeatureBasis,
+    RngSeed,
+    build_discrete_plan,
+    sample_monte_carlo,
+)
 
 from conftest import assert_within_se
 
@@ -242,6 +247,30 @@ class TestOptimalWeight:
         basis = PolyOperatorBasis.build(measure, np.array([[1]]), 1)
         with pytest.raises(ZeroDivisionError):
             optimal_weight(basis, np.zeros(1))
+
+
+def three_basis_kinds():
+    measure, poly = small_poly_basis(d_out=2)
+    linear = LinearRankOneBasis.from_measure(measure, [1, 0], d_out=2)
+    cloud = np.random.default_rng(8).uniform(-1.0, 1.0, (40, 2))
+    plan = build_discrete_plan(cloud, poly.scalar_features)
+    discrete = DiscreteFeatureBasis(plan=plan, raw_features=poly.scalar_features,
+                                    d_out=2)
+    return [linear, poly, discrete]
+
+
+@pytest.mark.parametrize("basis", three_basis_kinds(),
+                         ids=["linear", "polynomial", "discrete"])
+@pytest.mark.parametrize("shape", [(30, 2), (2,)], ids=["batch", "single"])
+def test_weights_square_features_in_place_not_inputs(basis, shape, rng):
+    # scalar_features returns a fresh array, which christoffel and
+    # optimal_weight square in place: the caller's input stays as it was
+    fhat = rng.uniform(-1.0, 1.0, shape)
+    kept = fhat.copy()
+    energy = np.sum(np.square(basis.scalar_features(fhat)), axis=-1)
+    assert np.array_equal(optimal_weight(basis, fhat), basis.n_eff / energy)
+    assert np.array_equal(christoffel(basis, fhat, 1.0), basis.d_out * energy)
+    assert np.array_equal(fhat, kept)
 
 
 class TestMonomialOperators:

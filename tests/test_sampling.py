@@ -1,16 +1,14 @@
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from opwls.index_sets import IndexSetSpec, generate
 from opwls.measures import ProductMeasure, UnivariateMeasure, build_family, gauss_rule
-from opwls.operator_basis import (
-    LinearRankOneBasis,
-    PolyOperatorBasis,
-    optimal_weight,
-)
+from opwls.operator_basis import LinearRankOneBasis, PolyOperatorBasis
 from opwls.sampling import (
     DiscreteFeatureBasis,
     MixturePlan,
@@ -182,19 +180,77 @@ def poly_reference_basis():
     return measure, PolyOperatorBasis.build(measure, generate(spec), d_out=2)
 
 
+def criterion6_basis():
+    """Criterion 6's space: radius-12 cross over 8 modes, alpha_j = j^2, N_eff=641."""
+    measure = ProductMeasure.from_alphas(np.arange(1, 9, dtype=float) ** 2)
+    spec = IndexSetSpec(kind="hyperbolic_cross", radius=12.0,
+                        gamma=np.ones(8), degree_cap=10)
+    return measure, PolyOperatorBasis.build(measure, generate(spec), d_out=48)
+
+
+def weight_formula(basis, x):
+    return basis.n_eff / np.sum(np.square(basis.scalar_features(x)), axis=-1)
+
+
 class TestSampleOptimal:
+    @pytest.mark.parametrize(
+        ("make", "n"),
+        [(linear_reference_basis, 500), (poly_reference_basis, 500),
+         (criterion6_basis, 300)],
+        ids=["linear", "polynomial", "criterion6"],
+    )
+    def test_matches_row_by_row_reference(self, make, n):
+        measure, basis = make()
+        tables = build_induced_tables(measure, basis)
+        plan = mixture_plan(basis)
+        x, w = sample_optimal(plan, tables, RngSeed(53), n, basis)
+        reference = reference_sample_optimal(plan, tables, RngSeed(53), n)
+        assert np.array_equal(x, reference)
+        assert np.array_equal(w, weight_formula(basis, x))
+
     @pytest.mark.parametrize(
         "make", [linear_reference_basis, poly_reference_basis],
         ids=["linear", "polynomial"],
     )
-    def test_matches_row_by_row_reference(self, make):
+    def test_zero_samples(self, make):
         measure, basis = make()
         tables = build_induced_tables(measure, basis)
+        x, w = sample_optimal(mixture_plan(basis), tables, RngSeed(5), 0, basis)
+        assert x.shape == (0, len(measure)) and w.shape == (0,)
+
+    def test_one_inverse_transform_per_coordinate_and_degree(self, monkeypatch):
+        measure, basis = criterion6_basis()
+        tables = build_induced_tables(measure, basis)
         plan = mixture_plan(basis)
-        x, w = sample_optimal(plan, tables, RngSeed(53), 500, basis)
-        reference = reference_sample_optimal(plan, tables, RngSeed(53), 500)
-        assert np.array_equal(x, reference)
-        assert np.array_equal(w, optimal_weight(basis, x))
+        groups = sum(
+            np.count_nonzero(np.unique(plan.components[:, j]))
+            for j in range(basis.d_in)
+        )
+        assert groups == 80
+        calls = []
+        searchsorted = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        sample_optimal(plan, tables, RngSeed(11), 4143, basis)
+        # the component column, d_in base columns, one per (coordinate, degree)
+        assert len(calls) <= 1 + basis.d_in + groups
+
+    def test_peak_memory_is_one_feature_matrix(self):
+        measure, basis = criterion6_basis()
+        tables = build_induced_tables(measure, basis)
+        plan = mixture_plan(basis)
+        m = 4143
+        tracemalloc.start()
+        try:
+            sample_optimal(plan, tables, RngSeed(17), m, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * m * basis.n_eff * 8
 
     def test_singleton_zero_index(self):
         measure = ProductMeasure.from_alphas([0.0, 4.0])
@@ -386,6 +442,26 @@ class TestDiscretePlan:
         features = lambda x: np.column_stack([x[:, 0], x[:, 0], x[:, 1]])
         with pytest.raises(ValueError, match="rank 2 < 3"):
             build_discrete_plan(cloud, features)
+
+    @staticmethod
+    def cloud_basis(cloud, d_out=2):
+        # built as experiments.discrete_spec builds it
+        measure = ProductMeasure.from_alphas([0.0] * 3)
+        spec = IndexSetSpec(kind="lp_ball", p=1.0, radius=2.0,
+                            gamma=np.ones(3), degree_cap=4)
+        ref = PolyOperatorBasis.build(measure, generate(spec), d_out)
+        features = partial(ref.scalar_features, warn_extrapolation=False)
+        plan = build_discrete_plan(cloud, features)
+        return DiscreteFeatureBasis(plan=plan, raw_features=features, d_out=d_out)
+
+    def test_feature_bases_from_separate_calls_compare_equal(self, rng):
+        cloud = rng.uniform(-1, 1, (60, 3))
+        basis = self.cloud_basis(cloud)
+        assert basis == self.cloud_basis(cloud.copy())
+        assert basis != replace(basis, d_out=3)
+        assert basis != self.cloud_basis(rng.uniform(-1, 1, (60, 3)))
+        assert basis != replace(basis, raw_features=lambda x: basis.raw_features(x))
+        assert basis != "basis"
 
     def test_too_few_points_rejected(self, rng):
         _, features = self.poly_features()
