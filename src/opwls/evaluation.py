@@ -53,7 +53,9 @@ class SobolevWeighting:
     def for_modes(cls, alpha: float, modes) -> "SobolevWeighting":
         modes = np.atleast_1d(np.asarray(modes, dtype=float))
         norm_sq = modes**2 if modes.ndim == 1 else np.sum(modes**2, axis=1)
-        weights = (1.0 + norm_sq) ** alpha
+        # an overflow shows as a non-finite weight, reported below
+        with np.errstate(over="ignore"):
+            weights = (1.0 + norm_sq) ** alpha
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("Sobolev weights must be positive and finite")
         return cls(alpha=alpha, weights=weights)

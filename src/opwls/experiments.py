@@ -215,11 +215,13 @@ class ExperimentConfig:
         check_fields(parsed, f"{name}.")
         return parsed
 
-    def validate(self) -> None:
-        """Check field types and every per-experiment range.
+    def validate(self) -> "FitSpec":
+        """Check the scalar fields, then build and return the :class:`FitSpec`.
 
-        Runs before anything is written, so a config that fails here leaves
-        no files behind.
+        Building checks the rest: any ``ValueError`` or ``TypeError`` that the
+        measure, index sets, bases, solver or Sobolev weightings raise comes
+        out as a :class:`ConfigError`.  Nothing is written here, so a config
+        that fails leaves no files behind; :func:`run` fits the spec returned.
         """
         check_fields(self)
         for name in SECTIONS:
@@ -239,44 +241,19 @@ class ExperimentConfig:
         if self.cloud_size < 1:
             raise ConfigError("cloud_size must be >= 1")
         # N_eff sweeps count modes; radius sweeps may be fractional
-        entry = Real if self.experiment in ("burgers", "discrete_demo") else Integral
-        check_numbers("sweep", self.sweep, entry)
+        kind = Real if self.experiment in ("burgers", "discrete_demo") else Integral
+        check_numbers("sweep", self.sweep, kind)
         if min(self.sweep) <= 0:
             raise ConfigError(f"sweep entries must be positive: {self.sweep!r}")
         check_numbers("sobolev_alphas", self.sobolev_alphas)
         if self.mode_order not in ("row", "column"):
             raise ConfigError("mode_order must be 'row' or 'column'")
         try:
-            measure, modes = build_measure(self)
+            return FIT_SPECS[self.experiment](self)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid measure {self.measure!r}: {exc}") from exc
-        d_in = len(measure)
-        if self.experiment == "poisson2d" and modes is None:
-            raise ConfigError("poisson2d needs the l1_cubed measure rule")
-        if self.experiment in ("poisson2d", "poisson1d_kernel"):
-            if max(self.sweep) > d_in:
-                raise ConfigError(
-                    f"N_eff={max(self.sweep)} exceeds the {d_in} available modes"
-                )
-            # Poisson outputs have one mode per input mode
-            if (self.d_out or 0) > d_in:
-                raise ConfigError(f"d_out={self.d_out} exceeds the {d_in} modes")
-        if self.experiment in ("burgers", "discrete_demo"):
-            try:
-                largest = cross_spec(self, d_in, max(self.sweep))
-            except ValueError as exc:
-                raise ConfigError(f"invalid index_set {self.index_set}: {exc}") from exc
-        if self.experiment == "discrete_demo":
-            n_eff = len(generate(largest))
-            if self.cloud_size < n_eff:
-                raise ConfigError(
-                    f"cloud_size={self.cloud_size} is below N_eff={n_eff}"
-                )
-        if self.experiment == "burgers":
-            try:
-                burgers_solver(self, d_in)
-            except ValueError as exc:
-                raise ConfigError(f"invalid solver {self.solver!r}: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
 
     def samplers(self) -> tuple[str, ...]:
         return SAMPLERS if self.sampling == "both" else (self.sampling,)
@@ -376,49 +353,62 @@ def select_d_in(variances: np.ndarray, fraction: float) -> int:
 
 
 def build_measure(config: ExperimentConfig) -> tuple[ProductMeasure, np.ndarray | None]:
-    """Measure over input modes plus the 2-D mode list when applicable."""
+    """Measure over input modes plus the 2-D mode list when applicable.
+
+    Raises :class:`ConfigError` naming the ``measure`` section if it gives
+    no valid measure.
+    """
     spec = config.section("measure")
-    if spec.alpha_rule == "l1_cubed":
-        modes = sine_modes_2d(spec.max_mode, config.mode_order)
-        alphas = np.sum(modes, axis=1).astype(float) ** 3
+    modes = None
+    try:
+        if spec.alpha_rule == "l1_cubed":
+            modes = sine_modes_2d(spec.max_mode, config.mode_order)
+            alphas = np.sum(modes, axis=1).astype(float) ** 3
+        elif spec.alpha_rule == "squared_index":
+            d_in = spec.d_in
+            if d_in is None:
+                variances = 1.0 / (2.0 * np.arange(1, 4097) ** 2 + 3.0)
+                d_in = select_d_in(variances, config.energy_target)
+            alphas = np.arange(1, d_in + 1, dtype=float) ** 2
+        elif spec.alpha_rule == "explicit":
+            check_numbers("measure.alphas", spec.alphas)
+            alphas = np.asarray(spec.alphas, dtype=float)
+        else:
+            raise ConfigError(f"unknown alpha rule {spec.alpha_rule!r}")
         return ProductMeasure.from_alphas(alphas), modes
-    if spec.alpha_rule == "squared_index":
-        d_in = spec.d_in
-        if d_in is None:
-            universe = np.arange(1, 4097)
-            d_in = select_d_in(1.0 / (2.0 * universe**2 + 3.0), config.energy_target)
-        alphas = np.arange(1, d_in + 1, dtype=float) ** 2
-        return ProductMeasure.from_alphas(alphas), None
-    if spec.alpha_rule == "explicit":
-        check_numbers("measure.alphas", spec.alphas)
-        alphas = np.asarray(spec.alphas, dtype=float)
-        return ProductMeasure.from_alphas(alphas), None
-    raise ConfigError(f"unknown alpha rule {spec.alpha_rule!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid measure {config.measure!r}: {exc}") from exc
 
 
 def cross_spec(config: ExperimentConfig, d_in: int, k) -> IndexSetSpec:
     """Hyperbolic cross of radius ``k`` over ``d_in`` modes, per ``index_set``."""
     spec = config.section("index_set")
-    if spec.gamma_rule == "uniform":
-        gamma = np.ones(d_in)
-    elif spec.gamma_rule == "linear_decay":
-        gamma = 1.0 - np.arange(d_in) * spec.gamma_step
-    else:
-        raise ConfigError(f"unknown gamma rule {spec.gamma_rule!r}")
-    return IndexSetSpec(
-        kind="hyperbolic_cross", radius=float(k), gamma=gamma,
-        degree_cap=spec.degree_cap,
-    )
+    try:
+        if spec.gamma_rule == "uniform":
+            gamma = np.ones(d_in)
+        elif spec.gamma_rule == "linear_decay":
+            gamma = 1.0 - np.arange(d_in) * spec.gamma_step
+        else:
+            raise ConfigError(f"unknown gamma rule {spec.gamma_rule!r}")
+        return IndexSetSpec(
+            kind="hyperbolic_cross", radius=float(k), gamma=gamma,
+            degree_cap=spec.degree_cap,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid index_set {config.index_set}: {exc}") from exc
 
 
 def burgers_solver(config: ExperimentConfig, d_in: int) -> BurgersConfig:
     spec = config.section("solver")
-    # a JSON integer such as "final_time": 1 enters the provenance as 1.0
-    return BurgersConfig.create(
-        viscosity=float(spec.viscosity), final_time=float(spec.final_time),
-        d_in=d_in, d_out=config.d_out or 48,
-        dt=spec.dt, d_solve=spec.d_solve, grid_size=spec.grid_size,
-    )
+    try:
+        # a JSON integer such as "final_time": 1 enters the provenance as 1.0
+        return BurgersConfig.create(
+            viscosity=float(spec.viscosity), final_time=float(spec.final_time),
+            d_in=d_in, d_out=config.d_out or 48,
+            dt=spec.dt, d_solve=spec.d_solve, grid_size=spec.grid_size,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid solver {config.solver!r}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -542,23 +532,24 @@ def measure_draw(measure: ProductMeasure, basis) -> Callable:
 
 @dataclass(frozen=True)
 class FitSpec:
-    """What one experiment fills into :func:`fit_sweep`.
+    """One experiment, built from its config and ready for :func:`fit_sweep`.
 
-    ``entry(value)`` gives a sweep value's ``(tag, basis, M, lead, draw)``:
-    ``tag`` enters the seeds and the coefficient file name, ``lead`` fills
-    ``lead_columns``, and ``draw(sampler, rng, size)`` gives inputs and
-    weights.  ``truth(inputs, weights, d_out=, seed=, sampler=)`` gives the
-    :class:`DataSet`; if it runs a solver, ``solver_config`` is the resolved
-    configuration its provenance records.  Test sets, ``monte_carlo`` draws
-    of ``n_test``, or the whole ``test_cloud`` (sampler ``cloud``) if one is
-    given, keep every output column and are seeded per (tag, trial) if
-    ``test_per_trial``, else per tag.  Each draw is fitted once per Sobolev
-    exponent in ``alphas``, or once with no ``alpha`` column if ``None``.
-    ``metrics(estimate, report, test)`` fills ``metric_columns``.
+    ``entries`` holds one built ``(tag, basis, M, lead, draw)`` per sweep
+    value: ``tag`` enters the seeds and the coefficient file name, ``lead``
+    fills ``lead_columns``, and ``draw(sampler, rng, size)`` gives inputs
+    and weights.  ``truth(inputs, weights, d_out=, seed=, sampler=)`` gives
+    the :class:`DataSet`; if it runs a solver, ``solver_config`` is the
+    resolved configuration its provenance records.  Test sets,
+    ``monte_carlo`` draws of ``n_test``, or the whole ``test_cloud`` (sampler
+    ``cloud``) if one is given, keep every output column and are seeded per
+    (tag, trial) if ``test_per_trial``, else per tag.  Each draw is fitted
+    once per :class:`SobolevWeighting` in ``weightings``, or once, unweighted
+    and with no ``alpha`` column, if ``None``.  ``metrics(estimate, report,
+    test)`` fills ``metric_columns``.
     """
 
     d_out: int
-    entry: Callable[[object], tuple]
+    entries: list
     truth: Callable[..., DataSet]
     metric_columns: list
     metrics: Callable[..., list]
@@ -566,7 +557,7 @@ class FitSpec:
     lead_columns: list = field(default_factory=list)
     test_per_trial: bool = True
     test_cloud: np.ndarray | None = None
-    alphas: list | None = None
+    weightings: list | None = None
     solver_config: dict | None = None
 
 
@@ -581,8 +572,8 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
     cfg_hash = config.content_hash()
     coeffs_dir = out / "coeffs"
     coeffs_dir.mkdir(parents=True, exist_ok=True)
-    output_modes = np.arange(1, spec.d_out + 1)
-    keys = ["N_eff", "sampling", "trial", *([] if spec.alphas is None else ["alpha"])]
+    weightings = spec.weightings or [SobolevWeighting.flat(spec.d_out)]
+    keys = ["N_eff", "sampling", "trial", *(["alpha"] if spec.weightings else [])]
     rows, gram_rows, timing_rows, error_records = [], [], [], []
 
     def dataset(draw, sampler: str, seed: int, size: int, d_out) -> DataSet:
@@ -595,8 +586,7 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
     def whole_cloud(sampler: str, rng: RngSeed, size: int):
         return spec.test_cloud, np.ones(size)
 
-    for value in config.sweep:
-        tag, basis, m, lead, draw = spec.entry(value)
+    for tag, basis, m, lead, draw in spec.entries:
 
         @cache
         def test_set(seed: int) -> DataSet:
@@ -610,8 +600,7 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
             ds = dataset(draw, sampler, seed, m, spec.d_out)
             # the dataset's time goes to the first alpha fitted on it
             t_dataset = time.perf_counter() - t0
-            for alpha in spec.alphas or [0.0]:
-                weighting = SobolevWeighting.for_modes(alpha, output_modes)
+            for weighting in weightings:
                 train = scale_outputs(ds.outputs, weighting)
                 estimate, summary, t_fit = fit_once(basis, ds.inputs, ds.weights, train)
                 t0 = time.perf_counter()
@@ -623,7 +612,7 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
                 )
                 metrics = spec.metrics(estimate, report, test)
                 t_test = time.perf_counter() - t0
-                key = [basis.n_eff, sampler, trial, alpha][: len(keys)]
+                key = [basis.n_eff, sampler, trial, weighting.alpha][: len(keys)]
                 stable = summary.stable(config.delta)
                 rows.append([*lead, *key, m, summary.condition, summary.spectral_gap,
                              report.absolute, *metrics, cfg_hash, stable])
@@ -642,9 +631,8 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
                 })
                 t_dataset = 0.0
                 if sampler == config.samplers()[0] and trial == 0:
-                    write_coefficients(
-                        coeffs_dir / spec.coeff_file.format(tag, alpha), estimate, basis
-                    )
+                    name = spec.coeff_file.format(tag, weighting.alpha)
+                    write_coefficients(coeffs_dir / name, estimate, basis)
     write_csv(
         out / "results.csv",
         [*spec.lead_columns, *keys, "M", "cond_G", "gap", "test_error",
@@ -679,7 +667,12 @@ def relative_error(estimate, report, test) -> list:
 def poisson_spec(config: ExperimentConfig) -> FitSpec:
     """Rank-one fits on the first ``N_eff`` input modes, ``M`` from the certificate."""
     measure, modes = build_measure(config)
+    if config.experiment == "poisson2d" and modes is None:
+        raise ConfigError("poisson2d needs the l1_cubed measure rule")
     d_out = config.d_out or len(measure)
+    # Poisson outputs have one mode per input mode
+    if d_out > len(measure):
+        raise ConfigError(f"d_out={d_out} exceeds the {len(measure)} modes")
 
     def entry(value) -> tuple:
         n_eff = int(value)
@@ -687,9 +680,11 @@ def poisson_spec(config: ExperimentConfig) -> FitSpec:
         m = min_samples(n_eff, config.delta, config.epsilon)
         return n_eff, basis, m, [], measure_draw(measure, basis)
 
+    entries = [entry(value) for value in config.sweep]
+
     if config.experiment == "poisson2d":
         return FitSpec(
-            d_out=d_out, entry=entry,
+            d_out=d_out, entries=entries,
             truth=partial(build_dataset, operator="poisson2d", modes_2d=modes),
             metric_columns=["rel_test_error"], metrics=relative_error,
             coeff_file="poisson2d_neff{}.csv",
@@ -702,7 +697,8 @@ def poisson_spec(config: ExperimentConfig) -> FitSpec:
         return [float(np.max(np.abs(kernel - exact)))]
 
     return FitSpec(
-        d_out=d_out, entry=entry, truth=partial(build_dataset, operator="poisson1d"),
+        d_out=d_out, entries=entries,
+        truth=partial(build_dataset, operator="poisson1d"),
         metric_columns=["kernel_sup_error"], metrics=sup_error,
         coeff_file="kernel_neff{}.csv",
     )
@@ -727,7 +723,7 @@ def burgers_spec(config: ExperimentConfig) -> FitSpec:
         return [_or_nan(report.relative), lost]
 
     return FitSpec(
-        d_out=solver.d_out, entry=entry,
+        d_out=solver.d_out, entries=[entry(k) for k in config.sweep],
         truth=partial(build_dataset, operator="burgers", burgers_config=solver),
         lead_columns=["k"], test_per_trial=False,
         metric_columns=["rel_test_error", "energy_fraction_lost"],
@@ -789,10 +785,13 @@ def discrete_spec(config: ExperimentConfig) -> FitSpec:
         m = min_samples(plan.n_eff, config.delta, config.epsilon)
         return k, basis, m, [k], draw
 
+    output_modes = np.arange(1, d_out + 1)
     return FitSpec(
-        d_out=d_out, entry=entry, truth=partial(demo_dataset, d_out),
+        d_out=d_out, entries=[entry(k) for k in config.sweep],
+        truth=partial(demo_dataset, d_out),
         test_cloud=cloud,
-        alphas=[float(alpha) for alpha in config.sobolev_alphas],
+        weightings=[SobolevWeighting.for_modes(float(alpha), output_modes)
+                    for alpha in config.sobolev_alphas],
         lead_columns=["k"], test_per_trial=False,
         metric_columns=["rel_test_error", "mean_of_ratios"],
         metrics=lambda estimate, report, test: [
@@ -833,7 +832,8 @@ def complexity_spec(config: ExperimentConfig) -> FitSpec:
         return n_eff, basis, 5 * n_eff, [], measure_draw(measure, basis)
 
     return FitSpec(
-        d_out=d_out, entry=entry, truth=partial(demo_dataset, d_out),
+        d_out=d_out, entries=[entry(value) for value in config.sweep],
+        truth=partial(demo_dataset, d_out),
         metric_columns=["rel_test_error"], metrics=relative_error,
         coeff_file="complexity_neff{}.csv",
     )
@@ -868,10 +868,10 @@ def blas_threads() -> int:
 
 def run(config: ExperimentConfig) -> RunResult:
     """Validate, execute, and write all artifacts of one experiment run."""
-    config.validate()
+    spec = config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = fit_sweep(config, out, FIT_SPECS[config.experiment](config))
+    rows = fit_sweep(config, out, spec)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "config": asdict(config),

@@ -97,7 +97,7 @@ class LinearRankOneBasis:
     ) -> "LinearRankOneBasis":
         modes = np.asarray(input_modes, dtype=int)
         if np.any(modes < 0) or np.any(modes >= len(measure)):
-            raise ValueError("input modes out of range for the measure")
+            raise ValueError(f"input modes outside the measure's {len(measure)} modes")
         sigmas = measure.sigmas[modes]
         return cls(input_modes=modes, sigmas=sigmas, d_out=d_out, d_in=len(measure))
 

@@ -59,19 +59,15 @@ def sine_modes_2d(max_mode: int, order: str = "row") -> np.ndarray:
     """Mode pairs ``(n1, n2)`` of ``[1..max_mode]^2`` in lexicographic order.
 
     ``order`` selects which component varies fastest: ``"row"`` keeps ``n1``
-    outermost (row-major), ``"column"`` the transpose.  Both orders appear in
-    practice; configurations record the one in use.
+    outermost (row-major), ``"column"`` keeps ``n2`` outermost.  Both orders
+    appear in practice; configurations record the one in use.
     """
-    n1, n2 = np.meshgrid(
-        np.arange(1, max_mode + 1), np.arange(1, max_mode + 1), indexing="ij"
-    )
-    pairs = np.column_stack([n1.ravel(), n2.ravel()])
-    if order == "column":
-        pairs = pairs[:, ::-1][np.lexsort((pairs[:, 1], pairs[:, 0]))]
-        pairs = pairs[:, ::-1]
-    elif order != "row":
+    if order not in ("row", "column"):
         raise ValueError(f"unknown mode order {order!r}")
-    return pairs
+    modes = np.arange(1, max_mode + 1)
+    # "xy" indexing puts the second grid axis, n2, outermost
+    n1, n2 = np.meshgrid(modes, modes, indexing="ij" if order == "row" else "xy")
+    return np.column_stack([n1.ravel(), n2.ravel()])
 
 
 def sine_value_1d(n: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,14 @@ class TestSobolevWeighting:
             for a in (-1.0, 0.0, 1.0, 2.0)
         ]
         assert all(b >= a for a, b in zip(errors, errors[1:]))
+
+    def test_overflow_raises_without_warning(self):
+        # the ValueError reports the non-finite weights; numpy's overflow
+        # warning would add a second record to the CLI's stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                SobolevWeighting.for_modes(400.0, np.arange(1, 7))
 
     def test_scale_round_trip(self, rng):
         w = SobolevWeighting.for_modes(-1.5, np.arange(1, 5))

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,6 +77,10 @@ DISCRETE = {
 BURGERS = {
     "experiment": "burgers", "trials": 1, "n_test": 4, "d_out": 3,
     "measure": {"alpha_rule": "squared_index", "d_in": 3}, "sweep": [1],
+}
+# radius 1 builds; the cross of radius 1e9 passes the 10^6-member hard limit
+BURGERS_BEYOND_HARD_LIMIT = {
+    **BURGERS, "measure": {"alpha_rule": "squared_index", "d_in": 7}, "sweep": [1, 1e9],
 }
 
 
@@ -388,6 +393,27 @@ def test_warm_run_builds_no_tables(tmp_path, monkeypatch):
     assert stable_artifacts(Path(config.out_dir)) == first
 
 
+@pytest.mark.parametrize(
+    "make",
+    [tiny_poisson2d, tiny_kernel, tiny_burgers, tiny_discrete, tiny_complexity],
+    ids=["poisson2d", "poisson1d_kernel", "burgers", "discrete_demo",
+         "complexity_sweep"],
+)
+def test_run_builds_the_measure_once(tmp_path, monkeypatch, make):
+    # validation builds the spec, and run fits that spec
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return build_measure(config)
+
+    monkeypatch.setattr("opwls.experiments.build_measure", counted)
+    config = make(tmp_path)
+    run(config)
+    assert len(calls) == 1
+    assert len(config.validate().entries) == len(config.sweep)
+
+
 def test_coefficients_formatted_as_cells(tmp_path):
     coefficients = np.random.default_rng(3).normal(size=(4, 3)) * [1e-300, 1.0, 1e17]
     coefficients[0, 0], coefficients[1, 1], coefficients[2, 2] = -0.0, np.nan, -np.inf
@@ -626,6 +652,8 @@ class TestCli:
               "measure": {"alpha_rule": "explicit", "alphas": [True, "4"]}}, ()),
             ({**KERNEL, "sweep": [1], "measure": {"alpha_rule": "explicit"}}, ()),
             ({**DISCRETE, "cloud_size": 5}, ()),
+            ({**DISCRETE, "sobolev_alphas": [400.0]}, ()),
+            (BURGERS_BEYOND_HARD_LIMIT, ()),
         ],
         ids=["missing_experiment", "config_and_preset", "d_out_beyond_d_in",
              "d_in_zero", "float_grid_size", "float_d_solve", "even_grid_size",
@@ -636,10 +664,17 @@ class TestCli:
              "degree_cap_float", "degree_cap_true", "degree_cap_negative",
              "gamma_step_string", "measure_unknown_key", "sobolev_alphas_string",
              "sobolev_alphas_bool", "sobolev_alphas_empty", "explicit_alphas_mixed",
-             "explicit_alphas_missing", "cloud_smaller_than_n_eff"],
+             "explicit_alphas_missing", "cloud_smaller_than_n_eff",
+             "sobolev_weights_overflow", "index_set_beyond_hard_limit"],
     )
-    def test_rejected_run_exits_2_and_writes_nothing(self, tmp_path, document, args):
-        assert_rejected_without_files(tmp_path, document, *args)
+    def test_rejected_run_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                     document, args):
+        # a warning on the way would be a second record on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_rejected_without_files(tmp_path, document, *args)
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
 
     def test_mistyped_section_key_is_named(self, tmp_path, capsys):
         assert_rejected_without_files(tmp_path, {**BURGERS, "solver": {"dt": "1e-4"}})

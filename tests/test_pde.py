@@ -32,6 +32,14 @@ class TestSineModes:
         pairs = sine_modes_2d(2)
         assert [tuple(p) for p in pairs] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
+    def test_column_major_enumeration(self):
+        # n2 outermost: the transpose of the row order
+        pairs = sine_modes_2d(3, "column")
+        assert [tuple(p) for p in pairs] == [
+            (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)
+        ]
+        assert np.array_equal(pairs[:, ::-1], sine_modes_2d(3, "row"))
+
     def test_orthonormal_on_fine_grid(self):
         # low-index sine modes are orthonormal in L2 of the square
         x = np.linspace(0, 1, 801)
