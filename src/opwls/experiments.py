@@ -27,13 +27,14 @@ artifacts.  Timestamps and wall times appear only in the manifest and
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
-import os
 import platform
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -102,16 +103,27 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; nothing is written."""
 
 
+def _non_finite(value) -> bool:
+    # JSON's NaN and Infinity tokens parse as floats; an int is always finite,
+    # and may be too large for math.isfinite
+    return (isinstance(value, Real) and not isinstance(value, Integral)
+            and not math.isfinite(value))
+
+
 def check_numbers(name: str, values, kind=Real) -> None:
-    """Raise :class:`ConfigError` unless ``values`` is a non-empty list of ``kind``."""
+    """Raise :class:`ConfigError` unless ``values`` is a non-empty list of
+    finite numbers of ``kind``."""
     if not isinstance(values, list) or not values or any(
         isinstance(v, bool) or not isinstance(v, kind) for v in values
     ):
         raise ConfigError(f"{name} must be a non-empty list of numbers: {values!r}")
+    if any(_non_finite(v) for v in values):
+        raise ConfigError(f"{name} must hold finite numbers: {values!r}")
 
 
 def check_fields(obj, prefix: str = "") -> None:
-    """Raise :class:`ConfigError` unless each field of ``obj`` fits its annotation."""
+    """Raise :class:`ConfigError` unless each field of ``obj`` fits its
+    annotation; a number must be finite."""
     for name, hint in get_type_hints(type(obj)).items():
         kinds = tuple(_NUMBER_KINDS.get(k, k) for k in get_args(hint) or (hint,))
         value = getattr(obj, name)
@@ -120,6 +132,8 @@ def check_fields(obj, prefix: str = "") -> None:
             isinstance(value, bool) and bool not in kinds
         ):
             raise ConfigError(f"{prefix}{name} has the wrong type: {value!r}")
+        if _non_finite(value):
+            raise ConfigError(f"{prefix}{name} must be finite: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -240,6 +254,8 @@ class ExperimentConfig:
             raise ConfigError("d_out must be >= 1")
         if self.cloud_size < 1:
             raise ConfigError("cloud_size must be >= 1")
+        if not 0.0 < self.energy_target <= 1.0:
+            raise ConfigError("energy_target must lie in (0, 1]")
         # N_eff sweeps count modes; radius sweeps may be fractional
         kind = Real if self.experiment in ("burgers", "discrete_demo") else Integral
         check_numbers("sweep", self.sweep, kind)
@@ -343,13 +359,17 @@ def derive_seed(master: int, *tags) -> int:
 
 
 def select_d_in(variances: np.ndarray, fraction: float) -> int:
-    """Smallest prefix of the variance sequence capturing ``fraction`` of it."""
+    """Smallest prefix of the variance sequence capturing ``fraction`` of it.
+
+    Never longer than the sequence, although its rounded cumulative sum may
+    end below 1.
+    """
     variances = np.asarray(variances, dtype=float)
     total = variances.sum()
     if total <= 0.0:
         raise ConfigError("variance sequence has no energy")
     cumulative = np.cumsum(variances) / total
-    return int(np.searchsorted(cumulative, fraction) + 1)
+    return min(int(np.searchsorted(cumulative, fraction)) + 1, len(variances))
 
 
 def build_measure(config: ExperimentConfig) -> tuple[ProductMeasure, np.ndarray | None]:
@@ -852,46 +872,82 @@ FIT_SPECS = {
 # entry point
 
 
-def blas_threads() -> int:
-    """Threads numpy's OpenBLAS runs with, as it reads them at start-up.
+def openblas_thread_calls() -> tuple[Callable, Callable] | None:
+    """``(get, set)`` of numpy's OpenBLAS thread count, or ``None``.
 
-    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else the cores
-    available to the process; a value that is not a positive integer counts
-    as unset.
+    ``dlsym`` on numpy's core extension also searches the OpenBLAS that numpy
+    loaded with it: the ``scipy_openblas`` names of numpy's wheels, else the
+    plain names of a system OpenBLAS.  An MKL or Accelerate numpy has neither.
     """
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return len(os.sched_getaffinity(0))
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread; yield the count read back.
+
+    After a multi-threaded call OpenBLAS keeps its idle worker spinning for
+    about 0.13 s, and a run calls the BLAS more often than that: on two
+    cores, runs used twice their wall time in CPU time, for no shorter wall
+    time.  One thread also makes the last digits of the results independent
+    of the core count.  The previous count comes back however the block
+    exits.  The count is process-wide: other threads' BLAS calls run on one
+    thread too until the block ends.  Yields ``None``, and changes nothing,
+    for a BLAS that is not OpenBLAS.
+    """
+    calls = openblas_thread_calls()
+    if calls is None:
+        yield None
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield get()
+    finally:
+        set_(previous)
 
 
 def run(config: ExperimentConfig) -> RunResult:
-    """Validate, execute, and write all artifacts of one experiment run."""
-    spec = config.validate()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = fit_sweep(config, out, spec)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    manifest = {
-        "config": asdict(config),
-        "config_hash": config.content_hash(),
-        "package_version": __version__,
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "results_rows": len(rows),
-        # timings depend on these; the last digits of results also depend on
-        # the BLAS build and its thread count, recorded here as numpy reports
-        # the build and as its OpenBLAS reads the count
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "blas": f"{blas['name']} {blas['version']}",
-            "blas_threads": blas_threads(),
-            "burgers_threads": solver_threads(),
-        },
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Validate, execute, and write all artifacts of one experiment run.
+
+    Runs on one BLAS thread (:func:`one_blas_thread`).
+    """
+    with one_blas_thread() as threads:
+        spec = config.validate()
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        rows = fit_sweep(config, out, spec)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        manifest = {
+            "config": asdict(config),
+            "config_hash": config.content_hash(),
+            "package_version": __version__,
+            "created_at": datetime.now(timezone.utc).isoformat(),
+            "results_rows": len(rows),
+            # timings depend on these; the last digits of results also depend
+            # on the BLAS build, recorded as numpy reports it, and on the
+            # thread count the run held OpenBLAS to (null: another BLAS)
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "blas": f"{blas['name']} {blas['version']}",
+                "blas_threads": threads,
+                "burgers_threads": solver_threads(),
+            },
+        }
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     return RunResult(out_dir=out, results_rows=len(rows), manifest=manifest)

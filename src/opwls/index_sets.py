@@ -28,7 +28,6 @@ __all__ = [
     "generate",
     "is_monotone_lower",
     "indices_to_text",
-    "indices_from_text",
 ]
 
 MEMBERSHIP_SLACK = 1e-12
@@ -149,12 +148,3 @@ def indices_to_text(indices: np.ndarray) -> str:
     rows = np.atleast_2d(indices)
     return "\n".join(" ".join(str(int(v)) for v in row) for row in rows) + "\n"
 
-
-def indices_from_text(text: str) -> np.ndarray:
-    """Inverse of :func:`indices_to_text`."""
-    rows = [
-        [int(tok) for tok in line.split()]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    return np.array(rows, dtype=int)

@@ -43,7 +43,6 @@ __all__ = [
     "PolyOperatorBasis",
     "christoffel",
     "optimal_weight",
-    "monomial_operator_eval",
 ]
 
 # Feature values evaluated per block of samples: about 512 KB of float64, so
@@ -108,13 +107,6 @@ class LinearRankOneBasis:
     @property
     def n_total(self) -> int:
         return self.n_eff * self.d_out
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        """Operator index pairs ``(n1, n2)`` in block order (outputs outermost)."""
-        return [
-            (int(n1), o) for o in range(self.d_out) for n1 in self.input_modes
-        ]
 
     def scalar_features(self, fhat: np.ndarray) -> np.ndarray:
         """Normalized selected coordinates ``fhat_{n1} / sigma_{n1}``, freshly made."""
@@ -311,24 +303,3 @@ def optimal_weight(basis, fhat: np.ndarray) -> float | np.ndarray:
         )
     return basis.n_eff / total
 
-
-def monomial_operator_eval(
-    index: np.ndarray, fhat: np.ndarray, d_out: int
-) -> np.ndarray:
-    """Evaluate the multilinear monomial operator of a multi-index.
-
-    ``index = (n0, n1, n2, ...)`` places ``prod_j fhat_j^{n_j}`` at output
-    mode ``n0`` (0-based position) and zeros elsewhere.  These operators are
-    an evaluation oracle only; they are never used for fitting or sampling.
-    """
-    index = np.asarray(index, dtype=int)
-    n0 = int(index[0])
-    if not 0 <= n0 < d_out:
-        raise ValueError(f"output mode {n0} outside [0, {d_out})")
-    fhat = np.asarray(fhat, dtype=float)
-    exponents = index[1:]
-    if exponents.size != fhat.size:
-        raise ValueError("scalar part of the index must match the input length")
-    out = np.zeros(d_out)
-    out[n0] = np.prod(np.power(fhat, exponents))
-    return out

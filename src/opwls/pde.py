@@ -39,11 +39,9 @@ __all__ = [
     "DataSet",
     "sine_modes_2d",
     "sine_value_1d",
-    "sine_value_2d",
     "poisson_apply_1d",
     "poisson_apply_2d",
     "greens_kernel",
-    "burgers_solve",
     "burgers_evolve",
     "solver_threads",
     "build_dataset",
@@ -73,12 +71,6 @@ def sine_modes_2d(max_mode: int, order: str = "row") -> np.ndarray:
 def sine_value_1d(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``sqrt(2) sin(n pi x)``, broadcasting ``n`` against ``x``."""
     return math.sqrt(2.0) * np.sin(np.multiply.outer(np.asarray(n), np.pi * x))
-
-
-def sine_value_2d(pair, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """``2 sin(n1 pi x1) sin(n2 pi x2)`` on the grid ``x1 x x2``."""
-    n1, n2 = int(pair[0]), int(pair[1])
-    return 2.0 * np.outer(np.sin(n1 * np.pi * x1), np.sin(n2 * np.pi * x2))
 
 
 def poisson_apply_2d(fhat: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -294,14 +286,6 @@ def _burgers_fan_out(samples: np.ndarray, config: BurgersConfig) -> np.ndarray:
             split = np.array_split(chunk, min(cores, chunk.shape[0]))
             blocks.extend(pool.map(burgers_evolve, split, repeat(config)))
     return np.vstack(blocks)
-
-
-def burgers_solve(
-    u0hat: np.ndarray, config: BurgersConfig, n_keep: int | None = None
-) -> np.ndarray:
-    """Single-trajectory wrapper around :func:`burgers_evolve`."""
-    out = burgers_evolve(np.atleast_2d(u0hat), config)[0]
-    return out if n_keep is None else out[:n_keep]
 
 
 @dataclass(frozen=True)

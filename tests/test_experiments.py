@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -18,17 +19,18 @@ from opwls.experiments import (
     PRESETS,
     ConfigError,
     ExperimentConfig,
-    blas_threads,
     build_measure,
     dataset_key,
     derive_seed,
     format_cell,
+    openblas_thread_calls,
     run,
     select_d_in,
     total_degree_prefix,
     write_coefficients,
     write_csv,
 )
+from opwls.pde import build_dataset
 
 
 def tiny_poisson2d(tmp_path, **overrides):
@@ -195,6 +197,11 @@ class TestSelectDin:
         assert select_d_in(variances, 0.5) == 1
         assert select_d_in(variances, 0.8) == 2
         assert select_d_in(variances, 0.951) == 4
+
+    def test_never_longer_than_the_sequence(self):
+        variances = np.array([0.5, 0.3, 0.15, 0.05])
+        assert select_d_in(variances, 1.0) == 4
+        assert select_d_in(variances, 1.5) == 4
 
     def test_energy_rule_in_measure_builder(self):
         config = ExperimentConfig(
@@ -440,30 +447,77 @@ def run_in_subprocess(config, env_overrides):
 
 
 def test_manifest_records_blas_and_its_threads(tmp_path):
-    grams = []
+    # at N_eff=128 two OpenBLAS threads round the fit differently from one;
+    # a run holds the BLAS to one thread, so the bytes agree
+    artifacts = []
     for threads in (1, 2):
-        config = tiny_poisson2d(tmp_path, out_dir=str(tmp_path / f"t{threads}"))
+        config = tiny_complexity(
+            tmp_path, measure={"alpha_rule": "squared_index", "d_in": 4},
+            sweep=[128], d_out=32, out_dir=str(tmp_path / f"t{threads}"),
+        )
         manifest = run_in_subprocess(config, {"OPENBLAS_NUM_THREADS": str(threads)})
         environment = manifest["environment"]
-        assert environment["blas_threads"] == threads
+        assert environment["blas_threads"] == 1
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert environment["blas"] == f"{blas['name']} {blas['version']}"
-        lines = (Path(config.out_dir) / "gram.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        grams.append(np.array([[float(row.split(",")[header.index(c)])
-                                for c in ("gap", "cond")] for row in lines[1:]]))
-    # across thread counts the BLAS reductions may round differently
-    assert np.all(np.abs(grams[0] - grams[1]) <= 1e-13 * np.abs(grams[0]))
+        artifacts.append(stable_artifacts(Path(config.out_dir)))
+    assert artifacts[0] == artifacts[1]
 
 
-def test_blas_threads_follow_openblas_then_omp(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    monkeypatch.setenv("OMP_NUM_THREADS", "5")
-    assert blas_threads() == 3
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert blas_threads() == 5
-    monkeypatch.setenv("OMP_NUM_THREADS", "none")
-    assert blas_threads() == len(os.sched_getaffinity(0))
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS on two threads for the test; yields the count getter."""
+    calls = openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_run_holds_blas_to_one_thread(tmp_path, monkeypatch, two_blas_threads):
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(two_blas_threads())
+        return build_dataset(*args, **kwargs)
+
+    monkeypatch.setattr("opwls.experiments.build_dataset", counted)
+    result = run(tiny_poisson2d(tmp_path, trials=1, sweep=[4]))
+    assert seen and set(seen) == {1}
+    assert result.manifest["environment"]["blas_threads"] == 1
+    assert two_blas_threads() == 2
+
+
+def test_blas_threads_restored_however_run_exits(tmp_path, monkeypatch,
+                                                  two_blas_threads):
+    path = tmp_path / "config.json"
+    path.write_text(tiny_poisson2d(tmp_path, trials=1, sweep=[4]).to_json())
+    assert main(["run", str(path)]) == 0
+    assert two_blas_threads() == 2
+    # fails validation inside the pin
+    assert main(["run", str(path), "--trials", "0"]) == 2
+    assert two_blas_threads() == 2
+
+    def fails(*args, **kwargs):
+        raise RuntimeError("ground truth failed")
+
+    monkeypatch.setattr("opwls.experiments.build_dataset", fails)
+    assert main(["run", str(path), "--out", str(tmp_path / "cold")]) == 1
+    assert two_blas_threads() == 2
+
+
+def test_run_without_openblas_records_null(tmp_path, monkeypatch, two_blas_threads):
+    # an MKL or Accelerate numpy exports neither set of names
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())
+    assert openblas_thread_calls() is None
+    config = tiny_poisson2d(tmp_path, trials=1, sweep=[4])
+    result = run(config)
+    assert result.manifest["environment"]["blas_threads"] is None
+    assert (Path(config.out_dir) / "results.csv").exists()
+    assert two_blas_threads() == 2
 
 
 def test_kernel_coefficients_from_first_sampler(tmp_path):
@@ -654,6 +708,17 @@ class TestCli:
             ({**DISCRETE, "cloud_size": 5}, ()),
             ({**DISCRETE, "sobolev_alphas": [400.0]}, ()),
             (BURGERS_BEYOND_HARD_LIMIT, ()),
+            ({**BURGERS, "solver": {"viscosity": math.inf}}, ()),
+            ({**BURGERS, "solver": {"viscosity": math.nan}}, ()),
+            ({**BURGERS, "sweep": [math.nan]}, ()),
+            *[
+                ({**KERNEL, "measure": {"alpha_rule": "squared_index"},
+                  "energy_target": target}, ())
+                for target in (1.5, math.nan, 0.0)
+            ],
+            ({**BURGERS, "solver": {"final_time": math.inf}}, ()),
+            ({**KERNEL, "sweep": [1],
+              "measure": {"alpha_rule": "explicit", "alphas": [1.0, -math.inf]}}, ()),
         ],
         ids=["missing_experiment", "config_and_preset", "d_out_beyond_d_in",
              "d_in_zero", "float_grid_size", "float_d_solve", "even_grid_size",
@@ -665,7 +730,10 @@ class TestCli:
              "gamma_step_string", "measure_unknown_key", "sobolev_alphas_string",
              "sobolev_alphas_bool", "sobolev_alphas_empty", "explicit_alphas_mixed",
              "explicit_alphas_missing", "cloud_smaller_than_n_eff",
-             "sobolev_weights_overflow", "index_set_beyond_hard_limit"],
+             "sobolev_weights_overflow", "index_set_beyond_hard_limit",
+             "solver_viscosity_infinite", "solver_viscosity_nan", "sweep_nan",
+             "energy_target_above_one", "energy_target_nan", "energy_target_zero",
+             "solver_final_time_infinite", "explicit_alphas_infinite"],
     )
     def test_rejected_run_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                      document, args):
@@ -682,6 +750,14 @@ class TestCli:
         assert record["error"] == "ConfigError"
         assert "solver.dt" in record["message"]
         assert "'<='" not in record["message"]
+
+    def test_non_finite_number_is_named(self, tmp_path, capsys):
+        assert_rejected_without_files(
+            tmp_path, {**BURGERS, "solver": {"viscosity": math.inf}}
+        )
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "solver.viscosity must be finite" in record["message"]
 
     def test_missing_explicit_alphas_are_named(self, tmp_path, capsys):
         assert_rejected_without_files(

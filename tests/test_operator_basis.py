@@ -11,7 +11,6 @@ from opwls.operator_basis import (
     LinearRankOneBasis,
     PolyOperatorBasis,
     christoffel,
-    monomial_operator_eval,
     optimal_weight,
 )
 from opwls.sampling import (
@@ -174,11 +173,6 @@ class TestLinearFeatures:
             sq = feats[:, j] ** 2
             assert_within_se(sq.mean(), 1.0, sq.std() / math.sqrt(n))
 
-    def test_pairs_cover_tensor_structure(self):
-        measure = ProductMeasure.from_alphas([0.0, 1.0])
-        basis = LinearRankOneBasis.from_measure(measure, [0, 1], d_out=3)
-        assert len(basis.pairs) == basis.n_total == 6
-
     def test_rejects_bad_modes(self):
         measure = ProductMeasure.from_alphas([0.0, 1.0])
         with pytest.raises(ValueError):
@@ -274,19 +268,6 @@ def test_weights_square_features_in_place_not_inputs(basis, shape, rng):
 
 
 class TestMonomialOperators:
-    def test_worked_example(self):
-        # index (3, 2, 0, 3) on input (a, b, c): a^2 c^3 at output mode 3
-        a, b, c = 0.7, -0.4, 0.5
-        out = monomial_operator_eval(
-            np.array([3, 2, 0, 3]), np.array([a, b, c]), d_out=5
-        )
-        assert out[3] == pytest.approx(a**2 * c**3, rel=1e-15)
-        assert np.count_nonzero(out) == 1
-
-    def test_zero_scalar_index(self):
-        out = monomial_operator_eval(np.array([2, 0, 0]), np.array([0.3, 0.4]), 4)
-        assert out[2] == 1.0
-
     def test_span_equivalence_on_monotone_lower_set(self):
         # fit each orthogonal-polynomial feature onto the monomials of a
         # monotone lower set by weighted least squares on a tensor grid
@@ -312,10 +293,6 @@ class TestMonomialOperators:
         coef, *_ = np.linalg.lstsq(sqrt_w * monomials, sqrt_w * features, rcond=None)
         residual = sqrt_w * (monomials @ coef - features)
         assert np.abs(residual).max() <= 1e-8
-
-    def test_rejects_bad_output_mode(self):
-        with pytest.raises(ValueError):
-            monomial_operator_eval(np.array([4, 0]), np.array([0.1]), d_out=3)
 
 
 class TestTensorOrthonormality:
