@@ -6,10 +6,12 @@ The central quantity is the empirical Bochner error: the sample mean of
     err^2 ~= (1/M) sum_i sum_o omega_o (truth_io - pred_io)^2,
 
 over test inputs drawn i.i.d. from the approximation measure.  Sobolev
-weights ``omega = (1 + ||n||^2)^alpha`` reweight output modes; fitting in the
-weighted geometry is realized by pre-scaling output columns by
-``sqrt(omega)`` before assembly and unscaling afterwards, which is exactly a
-change to an H^alpha-orthonormal output basis.
+weights ``omega = (1 + ||n||^2)^alpha`` reweight output modes: a weighting is
+a norm, not a fit.  In the H^alpha-orthonormal output basis the outputs are
+``Y diag(sqrt(omega))``, and since the least-squares fit is separable over
+output columns, its coefficients are ``C diag(sqrt(omega))`` for the
+unweighted coefficients ``C``; its predictions, mapped back, are the
+unweighted ones.  So one fit serves every weighting, scored in each norm.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ __all__ = [
     "energy_fraction_lost",
     "reconstruct_kernel",
     "operator_matrix_view",
-    "scale_outputs",
-    "unscale_outputs",
     "nearest_rank_quantile",
 ]
 
@@ -63,18 +63,6 @@ class SobolevWeighting:
     @classmethod
     def flat(cls, d_out: int) -> "SobolevWeighting":
         return cls(alpha=0.0, weights=np.ones(d_out))
-
-
-def scale_outputs(outputs: np.ndarray, weighting: SobolevWeighting) -> np.ndarray:
-    """Pre-scale columns by ``sqrt(omega)``; unit weights return ``outputs`` as is."""
-    outputs = np.asarray(outputs, dtype=float)
-    flat = np.all(weighting.weights == 1.0)
-    return outputs if flat else outputs * np.sqrt(weighting.weights)
-
-
-def unscale_outputs(outputs: np.ndarray, weighting: SobolevWeighting) -> np.ndarray:
-    """Inverse of :func:`scale_outputs`."""
-    return np.asarray(outputs, dtype=float) / np.sqrt(weighting.weights)
 
 
 def nearest_rank_quantile(values: np.ndarray, level: float) -> float:

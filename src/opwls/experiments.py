@@ -32,6 +32,7 @@ import hashlib
 import json
 import math
 import platform
+import threading
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -52,8 +53,6 @@ from .evaluation import (
     empirical_bochner_error,
     energy_fraction_lost,
     reconstruct_kernel,
-    scale_outputs,
-    unscale_outputs,
 )
 from .index_sets import IndexSetSpec, generate
 from .measures import ProductMeasure
@@ -449,7 +448,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_coefficients(path: Path, estimate, basis) -> None:
+def write_coefficients(path: Path, coefficients: np.ndarray, basis) -> None:
     # one column per scalar index (named in the header), one row per output mode
     if isinstance(basis, PolyOperatorBasis):
         header = [".".join(str(int(v)) for v in row) for row in basis.scalar_indices]
@@ -461,7 +460,7 @@ def write_coefficients(path: Path, estimate, basis) -> None:
     # the bytes format_cell gives for the numpy ones
     lines = [",".join(header)]
     lines += [",".join([FLOAT_FMT % v for v in row])
-              for row in estimate.coefficients.T.tolist()]
+              for row in coefficients.T.tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -563,9 +562,9 @@ class FitSpec:
     ``monte_carlo`` draws of ``n_test``, or the whole ``test_cloud`` (sampler
     ``cloud``) if one is given, keep every output column and are seeded per
     (tag, trial) if ``test_per_trial``, else per tag.  Each draw is fitted
-    once per :class:`SobolevWeighting` in ``weightings``, or once, unweighted
-    and with no ``alpha`` column, if ``None``.  ``metrics(estimate, report,
-    test)`` fills ``metric_columns``.
+    once, scored once per :class:`SobolevWeighting` in ``weightings``, or
+    once, unweighted and with no ``alpha`` column, if ``None``.
+    ``metrics(estimate, report, test)`` fills ``metric_columns``.
     """
 
     d_out: int
@@ -582,12 +581,13 @@ class FitSpec:
 
 
 def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
-    """Draw, solve, fit and test once per (sweep entry, sampler, trial, alpha).
+    """Draw, solve, fit and predict once per (sweep entry, sampler, trial).
 
-    Every training and test set goes through :func:`cached_dataset`.  Writes
-    one row per fit to ``results.csv``, ``gram.csv`` and ``timings.csv``, one
-    record per fit to ``errors.json``, and the coefficients of trial 0 of the
-    first sampler to ``coeffs/``.
+    Each fit is scored once per alpha: a weighting is a norm, not a fit
+    (:mod:`opwls.evaluation`).  Every training and test set goes through
+    :func:`cached_dataset`.  Writes one row per score to ``results.csv``,
+    ``gram.csv`` and ``timings.csv``, one record per score to ``errors.json``,
+    and the coefficients of trial 0 of the first sampler to ``coeffs/``.
     """
     cfg_hash = config.content_hash()
     coeffs_dir = out / "coeffs"
@@ -618,22 +618,25 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
             seed = derive_seed(config.seed, "train", tag, sampler, trial)
             t0 = time.perf_counter()
             ds = dataset(draw, sampler, seed, m, spec.d_out)
-            # the dataset's time goes to the first alpha fitted on it
             t_dataset = time.perf_counter() - t0
+            estimate, summary, t_fit = fit_once(
+                basis, ds.inputs, ds.weights, ds.outputs
+            )
+            t0 = time.perf_counter()
+            test_tags = (tag, trial) if spec.test_per_trial else (tag,)
+            test = test_set(derive_seed(config.seed, "test", *test_tags))
+            predicted = estimate.predict(test.inputs)
+            t_predict = time.perf_counter() - t0
+            stable = summary.stable(config.delta)
+            # the draw's times go to the first alpha scored on it
             for weighting in weightings:
-                train = scale_outputs(ds.outputs, weighting)
-                estimate, summary, t_fit = fit_once(basis, ds.inputs, ds.weights, train)
                 t0 = time.perf_counter()
-                test_tags = (tag, trial) if spec.test_per_trial else (tag,)
-                test = test_set(derive_seed(config.seed, "test", *test_tags))
-                predicted = unscale_outputs(estimate.predict(test.inputs), weighting)
                 report = empirical_bochner_error(
                     test.outputs[:, : spec.d_out], predicted, weighting
                 )
                 metrics = spec.metrics(estimate, report, test)
-                t_test = time.perf_counter() - t0
+                t_test = t_predict + time.perf_counter() - t0
                 key = [basis.n_eff, sampler, trial, weighting.alpha][: len(keys)]
-                stable = summary.stable(config.delta)
                 rows.append([*lead, *key, m, summary.condition, summary.spectral_gap,
                              report.absolute, *metrics, cfg_hash, stable])
                 gram_rows.append(
@@ -649,10 +652,12 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
                     "cond": summary.condition,
                     "block_size": summary.block_size,
                 })
-                t_dataset = 0.0
+                t_dataset, t_fit, t_predict = 0.0, [0.0] * 3, 0.0
                 if sampler == config.samplers()[0] and trial == 0:
+                    # the coefficients in the H^alpha-orthonormal output basis
+                    coefficients = estimate.coefficients * np.sqrt(weighting.weights)
                     name = spec.coeff_file.format(tag, weighting.alpha)
-                    write_coefficients(coeffs_dir / name, estimate, basis)
+                    write_coefficients(coeffs_dir / name, coefficients, basis)
     write_csv(
         out / "results.csv",
         [*spec.lead_columns, *keys, "M", "cond_G", "gap", "test_error",
@@ -918,12 +923,18 @@ def one_blas_thread():
         set_(previous)
 
 
+# the thread count one_blas_thread pins and restores is process-wide, so
+# overlapping runs would restore each other's pin
+_RUN_LOCK = threading.Lock()
+
+
 def run(config: ExperimentConfig) -> RunResult:
     """Validate, execute, and write all artifacts of one experiment run.
 
-    Runs on one BLAS thread (:func:`one_blas_thread`).
+    Runs on one BLAS thread (:func:`one_blas_thread`); runs in one process
+    run one after another.
     """
-    with one_blas_thread() as threads:
+    with _RUN_LOCK, one_blas_thread() as threads:
         spec = config.validate()
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)

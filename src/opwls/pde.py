@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _BATCH_CHUNK = 1024
+# the index sets' hard limit, and 125 times the finest default rule, T/8000
+MAX_STEPS = 10**6
 
 
 def sine_modes_2d(max_mode: int, order: str = "row") -> np.ndarray:
@@ -140,6 +142,8 @@ class BurgersConfig:
     minimum, and its smallest odd grid, :func:`default_grid_size`, the
     default.  ``grid_size`` must be odd: the midpoint solver would run on
     any grid, but the odd rule is part of the config contract.
+    ``final_time / dt`` must be a whole number of at most
+    :data:`MAX_STEPS` steps.
     """
 
     viscosity: float
@@ -161,6 +165,8 @@ class BurgersConfig:
         if self.final_time <= 0.0 or self.dt <= 0.0:
             raise ValueError("final_time and dt must be positive")
         steps = self.final_time / self.dt
+        if steps > MAX_STEPS:
+            raise ValueError(f"final_time / dt = {steps!r} exceeds {MAX_STEPS} steps")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"final_time / dt = {steps!r} is not a whole number")
         if self.d_solve <= 10 * max(self.d_in, self.d_out):

@@ -11,8 +11,6 @@ from opwls.evaluation import (
     nearest_rank_quantile,
     operator_matrix_view,
     reconstruct_kernel,
-    scale_outputs,
-    unscale_outputs,
 )
 from opwls.measures import ProductMeasure
 from opwls.operator_basis import LinearRankOneBasis, PolyOperatorBasis
@@ -130,11 +128,20 @@ class TestSobolevWeighting:
             with pytest.raises(ValueError, match="finite"):
                 SobolevWeighting.for_modes(400.0, np.arange(1, 7))
 
-    def test_scale_round_trip(self, rng):
-        w = SobolevWeighting.for_modes(-1.5, np.arange(1, 5))
-        outs = rng.normal(size=(10, 4))
-        assert np.allclose(unscale_outputs(scale_outputs(outs, w), w), outs,
-                           atol=1e-15)
+    def test_weighting_scales_the_fit_not_its_predictions(self, rng):
+        # the fit is separable over output columns: outputs scaled by
+        # sqrt(omega) give coefficients scaled alike and the same predictions
+        d = 6
+        measure = ProductMeasure.from_alphas((np.arange(1, d + 1) ** 2).astype(float))
+        basis = LinearRankOneBasis.from_measure(measure, np.arange(d), d)
+        x, w = sample_monte_carlo(measure, RngSeed(5), 40)
+        outs = poisson_apply_1d(x) + 1e-3 * rng.normal(size=(40, d))
+        scale = np.sqrt(SobolevWeighting.for_modes(-1.5, np.arange(1, d + 1)).weights)
+        plain = solve(assemble(basis, x, w, outs), basis)
+        scaled = solve(assemble(basis, x, w, outs * scale), basis)
+        for got, want in ((scaled.coefficients, plain.coefficients * scale),
+                          (scaled.predict(x) / scale, plain.predict(x))):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestEnergyFraction:

@@ -5,7 +5,10 @@ import os
 import platform
 import subprocess
 import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +18,7 @@ import scipy
 
 import opwls
 from opwls.cli import main
+from opwls.evaluation import SobolevWeighting
 from opwls.experiments import (
     PRESETS,
     ConfigError,
@@ -22,6 +26,7 @@ from opwls.experiments import (
     build_measure,
     dataset_key,
     derive_seed,
+    fit_once,
     format_cell,
     openblas_thread_calls,
     run,
@@ -424,9 +429,8 @@ def test_run_builds_the_measure_once(tmp_path, monkeypatch, make):
 def test_coefficients_formatted_as_cells(tmp_path):
     coefficients = np.random.default_rng(3).normal(size=(4, 3)) * [1e-300, 1.0, 1e17]
     coefficients[0, 0], coefficients[1, 1], coefficients[2, 2] = -0.0, np.nan, -np.inf
-    estimate = SimpleNamespace(coefficients=coefficients)
     basis = SimpleNamespace(n_eff=4)
-    write_coefficients(tmp_path / "c.csv", estimate, basis)
+    write_coefficients(tmp_path / "c.csv", coefficients, basis)
     header = [f"b{j}" for j in range(4)]
     write_csv(tmp_path / "ref.csv", header, [list(col) for col in coefficients.T])
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -509,6 +513,39 @@ def test_blas_threads_restored_however_run_exits(tmp_path, monkeypatch,
     assert two_blas_threads() == 2
 
 
+def test_overlapping_runs_run_one_after_another(tmp_path, monkeypatch,
+                                                two_blas_threads):
+    # unserialized, the second run saved the first one's pin as the count to
+    # restore; the first restored 2 while the second was still fitting, and
+    # the second left the process on one thread
+    entered, seen = threading.Event(), []
+
+    def slowed(*args, **kwargs):
+        entered.set()
+        seen.append(two_blas_threads())
+        time.sleep(0.05)
+        return build_dataset(*args, **kwargs)
+
+    monkeypatch.setattr("opwls.experiments.build_dataset", slowed)
+    # the second run solves six datasets to the first one's two, so it ends last
+    configs = [
+        tiny_poisson2d(tmp_path, trials=1, sweep=[4], sampling="optimal",
+                       out_dir=str(tmp_path / "first")),
+        tiny_poisson2d(tmp_path, trials=1, sweep=[4, 8],
+                       out_dir=str(tmp_path / "second")),
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(run, configs[0])
+        assert entered.wait(timeout=60)
+        second = pool.submit(run, configs[1])
+        first.result(), second.result()
+    assert len(seen) == 8 and set(seen) == {1}
+    for config in configs:
+        manifest = json.loads((Path(config.out_dir) / "manifest.json").read_text())
+        assert manifest["environment"]["blas_threads"] == 1
+    assert two_blas_threads() == 2
+
+
 def test_run_without_openblas_records_null(tmp_path, monkeypatch, two_blas_threads):
     # an MKL or Accelerate numpy exports neither set of names
     monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())
@@ -558,6 +595,33 @@ class TestDiscreteDemo:
         assert json.loads(test_set.with_suffix(".json").read_text())["sampler"] == "cloud"
         with np.load(test_set) as stored:
             assert stored["inputs"].shape == (200, 4)
+
+    def test_one_fit_per_draw(self, tmp_path, monkeypatch):
+        fits, written = [], {}
+
+        def counted(*args):
+            fits.append(args)
+            return fit_once(*args)
+
+        def captured(path, coefficients, basis):
+            written[path.name] = coefficients
+            write_coefficients(path, coefficients, basis)
+
+        monkeypatch.setattr("opwls.experiments.fit_once", counted)
+        monkeypatch.setattr("opwls.experiments.write_coefficients", captured)
+        config = tiny_discrete(tmp_path)
+        result = run(config)
+        # two samplers x one entry, scored in three norms
+        assert len(fits) == 2 and result.results_rows == 6
+        assert sorted(written) == [f"discrete_k2_alpha{a}.csv"
+                                   for a in config.sobolev_alphas]
+        # each alpha's file holds the alpha = 0 coefficients in the
+        # H^alpha-orthonormal output basis, bit for bit
+        base = written["discrete_k2_alpha0.0.csv"]
+        for alpha in config.sobolev_alphas:
+            omega = SobolevWeighting.for_modes(alpha, np.arange(1, 7)).weights
+            assert np.array_equal(written[f"discrete_k2_alpha{alpha}.csv"],
+                                  base * np.sqrt(omega))
 
 
 class TestComplexitySweep:
@@ -719,6 +783,7 @@ class TestCli:
             ({**BURGERS, "solver": {"final_time": math.inf}}, ()),
             ({**KERNEL, "sweep": [1],
               "measure": {"alpha_rule": "explicit", "alphas": [1.0, -math.inf]}}, ()),
+            ({**BURGERS, "solver": {"dt": 1e-300}}, ()),
         ],
         ids=["missing_experiment", "config_and_preset", "d_out_beyond_d_in",
              "d_in_zero", "float_grid_size", "float_d_solve", "even_grid_size",
@@ -733,7 +798,8 @@ class TestCli:
              "sobolev_weights_overflow", "index_set_beyond_hard_limit",
              "solver_viscosity_infinite", "solver_viscosity_nan", "sweep_nan",
              "energy_target_above_one", "energy_target_nan", "energy_target_zero",
-             "solver_final_time_infinite", "explicit_alphas_infinite"],
+             "solver_final_time_infinite", "explicit_alphas_infinite",
+             "solver_dt_tiny"],
     )
     def test_rejected_run_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                      document, args):
