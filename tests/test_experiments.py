@@ -538,7 +538,7 @@ def test_overlapping_runs_run_one_after_another(tmp_path, monkeypatch,
         first = pool.submit(run, configs[0])
         assert entered.wait(timeout=60)
         second = pool.submit(run, configs[1])
-        first.result(), second.result()
+        first.result(timeout=120), second.result(timeout=120)
     assert len(seen) == 8 and set(seen) == {1}
     for config in configs:
         manifest = json.loads((Path(config.out_dir) / "manifest.json").read_text())
