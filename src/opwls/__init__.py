@@ -6,13 +6,13 @@ polynomial), Christoffel-function optimal sampling, block-separable weighted
 least-squares solves with stability diagnostics, and desk-scale spectral PDE
 benchmarks (Poisson, viscous Burgers).
 
-All dense linear algebra runs on numpy's LAPACK; nothing imports
-``scipy.linalg``, which would map a second OpenBLAS, with a thread pool of
-its own, next to numpy's.  After each multi-threaded call OpenBLAS keeps an
-idle worker spinning, and a run calls the BLAS more often than the spin
-lasts, so :func:`opwls.experiments.run` holds numpy's OpenBLAS to one
-thread.  ``scipy.fft``, which carries no BLAS, is loaded by the first
-Burgers solve.
+All dense linear algebra runs on numpy's LAPACK and the Burgers transforms
+on numpy's FFTs, so no module loads scipy, and a process maps one OpenBLAS:
+numpy's.  scipy would map a second, with a thread of its own, and take
+about 0.2 s to import at the first Burgers solve.  After each
+multi-threaded call OpenBLAS keeps an idle worker spinning, and a run calls
+the BLAS more often than the spin lasts, so :func:`opwls.experiments.run`
+holds numpy's OpenBLAS to one thread.
 """
 
 __version__ = "0.1.0"

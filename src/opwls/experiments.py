@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .evaluation import (
@@ -952,7 +951,6 @@ def run(config: ExperimentConfig) -> RunResult:
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "blas": f"{blas['name']} {blas['version']}",
                 "blas_threads": threads,
                 "burgers_threads": solver_threads(),

@@ -5,7 +5,8 @@ is advanced by a first-order IMEX Euler scheme (implicit viscosity, explicit
 pseudospectral flux) collocated at the midpoints of ``grid_size + 1`` equal
 cells.  The flux is taken in conservative form, ``u u_x = (u^2 / 2)_x``: per
 step, one DST-III synthesizes ``u`` at the midpoints and one DCT-II projects
-``u^2 / 2`` onto cosines, both of length ``grid_size + 1``.  The midpoint
+``u^2 / 2`` onto cosines, both of length ``grid_size + 1`` and both run on
+numpy's real FFTs, so no solver loads scipy.  The midpoint
 rule integrates ``cos(l pi x)`` exactly for ``0 <= l < 2 (grid_size + 1)``,
 so the projection equals the Galerkin flux up to roundoff once
 ``2 (grid_size + 1) > 3 d_solve`` (Orszag's 3/2 rule).  All solvers are
@@ -230,10 +231,21 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
         uhat <- (uhat - dt * fluxhat) / (1 + dt * nu * pi^2 j^2).
 
     At the midpoints ``sin(j pi x_i) = sin(pi j (2 i + 1) / (2 L))``, so the
-    synthesis is a DST-III of length ``L`` with ``a_j`` at input ``j - 1``;
-    input ``L - 1``, mode ``L``, is the zero padding, since ``d_solve < L``.
-    The analysis sum ``sum_i w(x_i) cos(j pi x_i)`` is a DCT-II of length
-    ``L``.  Both carry scipy's factor 2 and run on FFTs of length ``L``.
+    synthesis is a DST-III of length ``L``, and the analysis sum
+    ``sum_i w(x_i) cos(j pi x_i)`` is a DCT-II of length ``L``.  Both run on
+    numpy's real FFTs of length ``L`` by Makhoul's mapping (IEEE TASSP 28(1),
+    1980).  With ``h = L / 2``, ``a_0 = 0`` and ``a_m = 0`` for
+    ``m > d_solve``, the half-spectrum ``e^{i pi m / (2 L)} (a_{L-m} - i a_m)``,
+    ``m = 0 .. h``, goes through one inverse real FFT.  It returns
+    ``(-1)^i sqrt(2) u(x_i) / L`` with the even cells first, then the odd
+    cells in reverse order.  That order is the input permutation of the
+    DCT-II, and the signs vanish in the square.  So one real FFT of the
+    squares, times ``e^{-i pi k / (2 L)}``, gives the cosine sum of mode
+    ``k <= h`` in its real part, and that of mode ``L - k`` in minus its
+    imaginary part.  The state is kept in that layout, as ``h + 1`` complex
+    slots ``a_m + i a_{L-m}`` with mode ``h`` in the real part only, so
+    that each mode's flux lands on its own slot; ``-i e^{i pi m / (2 L)}``
+    turns a slot into the synthesis input.
 
     The projection is exact, not merely alias-free: ``w cos(j pi x)`` has
     cosine modes up to ``3 d_solve``, and the midpoint rule integrates
@@ -245,44 +257,67 @@ def burgers_evolve(u0hat: np.ndarray, config: BurgersConfig) -> np.ndarray:
     rows.  Returns all ``d_solve`` coefficients at the final time; callers
     truncate.
     """
-    # scipy.fft is loaded by the first solve, not by ``import opwls``
-    from scipy import fft
-
     u0 = np.atleast_2d(np.asarray(u0hat, dtype=float))
     if u0.shape[1] > config.d_solve:
         raise ValueError("initial coefficients exceed the solver dimension")
     d, cells = config.d_solve, config.grid_size + 1
-    state = np.zeros((u0.shape[0], d))
-    state[:, : u0.shape[1]] = u0
+    half = cells // 2
+    j = np.arange(1, d + 1)
+    # the state is the h + 1 slots a_m + i a_{L-m}; in its float view, mode
+    # j <= h is the real part of slot j and mode j > h the imaginary part of
+    # slot L - j, and the entries that hold no mode stay zero
+    at = np.where(j <= half, 2 * j, 2 * (cells - j) + 1)
+    state = np.zeros((u0.shape[0], half + 1), dtype=complex)
+    parts = state.view(float)
+    parts[:, at[: u0.shape[1]]] = u0
 
-    j = np.arange(1, d + 1, dtype=float)
-    damp = 1.0 / (1.0 + config.dt * config.viscosity * np.pi**2 * j**2)
-    # the synthesis returns sqrt(2) u, so its square is 4 w; the analysis
-    # sum over the cells is 2 L / sqrt(2) times the cosine coefficient
-    flux_scale = config.dt * j * np.pi / (4.0 * math.sqrt(2.0) * cells)
+    damp = np.zeros(2 * half + 2)
+    damp[at] = 1.0 / (1.0 + config.dt * config.viscosity * np.pi**2 * j**2)
+    # the synthesis returns sqrt(2) u / L, so its square is 4 w / L^2, and
+    # the cell sum of w cos(j pi x) is L / sqrt(2) times the cosine
+    # coefficient; modes above h read minus the imaginary parts
+    flux_scale = np.zeros(2 * half + 2)
+    flux_scale[at] = (
+        np.where(j <= half, 1.0, -1.0) * config.dt * j * np.pi * cells
+        / (2.0 * math.sqrt(2.0))
+    )
+    m = np.arange(half + 1)
+    shift = -1j * np.exp(0.5j * np.pi * m / cells)
+    # slot h holds a_h once: e^{i pi / 4} (a_h - i a_h) = sqrt(2) a_h
+    shift[half] = math.sqrt(2.0)
+    unshift = np.exp(-0.5j * np.pi * m / cells)
     n_steps = int(round(config.final_time / config.dt))
 
+    sums = np.empty_like(state)
+    sum_parts = sums.view(float)
+    values = np.empty((u0.shape[0], cells))
     # a blow-up overflows the squares first; the finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            values = fft.dst(state, type=3, n=cells, axis=1)
+            np.multiply(state, shift, out=sums)
+            np.fft.irfft(sums, n=cells, axis=1, out=values)
             np.square(values, out=values)
-            sums = fft.dct(values, type=2, axis=1, overwrite_x=True)
-            state += flux_scale * sums[:, 1 : d + 1]
-            state *= damp
+            np.fft.rfft(values, axis=1, out=sums)
+            sums *= unshift
+            sum_parts *= flux_scale
+            state += sums
+            parts *= damp
             if not np.all(np.isfinite(state)):
                 raise BlowUpError("non-finite Burgers state; reduce dt or amplitudes")
-    return state
+    return parts[:, at]
 
 
 def solver_threads() -> int:
     """Cores :func:`build_dataset` fans Burgers solves out over."""
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    # macOS and Windows have no affinity call
+    return os.cpu_count() or 1
 
 
 def _burgers_fan_out(samples: np.ndarray, config: BurgersConfig) -> np.ndarray:
     # each _BATCH_CHUNK chunk is split into one contiguous row block per
-    # core; scipy.fft and numpy release the GIL, so threads run the blocks
+    # core; numpy's FFTs and ufuncs release the GIL, so threads run the blocks
     # in parallel, without pickling and without worker processes' memory
     cores = solver_threads()
     blocks = []
@@ -330,7 +365,8 @@ def content_hash(*parts) -> str:
     digest = hashlib.sha256()
     for part in parts:
         if isinstance(part, np.ndarray):
-            digest.update(np.ascontiguousarray(part).tobytes())
+            # the array's own buffer, not a copy of it
+            digest.update(memoryview(np.ascontiguousarray(part)))
             digest.update(str(part.shape).encode())
         else:
             digest.update(json.dumps(part, sort_keys=True, default=str).encode())

@@ -41,8 +41,8 @@ def test_called_names_are_exported():
 
 
 def test_cli_import_loads_no_scipy_linalg_or_fft():
-    # scipy.linalg would map a second OpenBLAS next to numpy's; scipy.fft is
-    # loaded by the first Burgers solve
+    # scipy.linalg would map a second OpenBLAS next to numpy's; the Burgers
+    # solver runs on numpy's FFTs (test_pde checks a solve loads no scipy)
     probe = (
         "import sys, opwls.cli; "
         "print(sorted({'scipy.linalg', 'scipy.fft'} & set(sys.modules)))"

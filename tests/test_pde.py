@@ -1,10 +1,17 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import fft
 
 from opwls import pde
+from opwls.experiments import openblas_thread_calls
 from opwls.pde import (
     BlowUpError,
     BurgersConfig,
@@ -399,6 +406,65 @@ class TestBuildDataset:
         full_err = np.sum((full - prediction) ** 2, axis=1).mean()
         truncation = np.sum(full[:, d_keep:] ** 2, axis=1).mean()
         assert full_err >= truncation - 1e-12
+
+
+class TestContentHash:
+    # the hash reads each array's buffer in place; its digest must be the
+    # one of the array's C-order bytes, which cached datasets are keyed by
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: a,
+            np.asfortranarray,
+            lambda a: a[1::2, ::-3],
+        ],
+        ids=["c_order", "f_order", "sliced"],
+    )
+    def test_digest_matches_bytes(self, make):
+        array = make(np.random.default_rng(9).uniform(-1, 1, (7, 12)))
+        digest = hashlib.sha256()
+        digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(str(array.shape).encode())
+        digest.update(json.dumps({"n": 3}, sort_keys=True).encode())
+        assert pde.content_hash(array, {"n": 3}) == digest.hexdigest()
+
+
+def test_solver_threads_without_affinity_call(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pde.solver_threads() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pde.solver_threads() == 1
+
+
+def test_burgers_solve_loads_no_scipy_and_one_openblas():
+    # the solver runs on numpy's FFTs: scipy.fft would load scipy.special
+    # and map scipy's own OpenBLAS next to numpy's
+    probe = (
+        "import json, os, sys\n"
+        "import numpy as np\n"
+        "from opwls.pde import BurgersConfig, build_dataset\n"
+        "cfg = BurgersConfig.create(viscosity=0.1, final_time=0.01, d_in=3, d_out=3)\n"
+        "build_dataset(np.full((4, 3), 0.1), np.ones(4), 'burgers', burgers_config=cfg)\n"
+        "libs = None\n"
+        "if os.path.exists('/proc/self/maps'):\n"
+        "    with open('/proc/self/maps') as maps:\n"
+        "        paths = {line.split()[-1] for line in maps}\n"
+        "    libs = sorted(p for p in paths if 'openblas' in os.path.basename(p))\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'scipy': scipy, 'openblas': libs}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(pde.__file__).resolve().parents[1])},
+    )
+    loaded = json.loads(out.stdout)
+    assert loaded["scipy"] == []
+    if loaded["openblas"] is None:
+        pytest.skip("no /proc/self/maps to list the mapped libraries")
+    # numpy's own OpenBLAS, if numpy is built on OpenBLAS at all
+    assert len(loaded["openblas"]) == (openblas_thread_calls() is not None)
 
 
 class TestBurgersFanOut:
