@@ -8,7 +8,8 @@ Usage::
 A preset stands in for the config file; giving both is a validation error.
 Explicit flags override either.
 Failures exit nonzero after printing a machine-readable JSON error record to
-stderr; validation errors write no files.
+stderr; validation errors, among them a config file that cannot be read or
+parsed, exit 2 and write no files.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if (args.config is None) == (args.preset is None):
         raise ConfigError("provide either a config file or --preset")
     if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         config = ExperimentConfig.from_json(text)
     else:
         config = ExperimentConfig(**PRESETS[args.preset])
@@ -63,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args)
         result = run(config)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

@@ -90,8 +90,6 @@ class ErrorReport:
     relative: float | None
     mean_of_ratios: float | None
     quantiles: dict = field(default_factory=dict)
-    n_samples: int = 0
-    alpha: float = 0.0
 
 
 def empirical_bochner_error(
@@ -128,8 +126,6 @@ def empirical_bochner_error(
         relative=relative,
         mean_of_ratios=mean_of_ratios,
         quantiles=quantiles,
-        n_samples=truth.shape[0],
-        alpha=weighting.alpha,
     )
 
 

@@ -405,7 +405,9 @@ def cross_spec(config: ExperimentConfig, d_in: int, k) -> IndexSetSpec:
         if spec.gamma_rule == "uniform":
             gamma = np.ones(d_in)
         elif spec.gamma_rule == "linear_decay":
-            gamma = 1.0 - np.arange(d_in) * spec.gamma_step
+            # an overflow to inf is rejected by IndexSetSpec, with no warning
+            with np.errstate(over="ignore"):
+                gamma = 1.0 - np.arange(d_in) * spec.gamma_step
         else:
             raise ConfigError(f"unknown gamma rule {spec.gamma_rule!r}")
         return IndexSetSpec(

@@ -39,8 +39,8 @@ class IndexSetSpec:
     """Defining data of a weighted index set.
 
     ``kind`` is ``"lp_ball"`` (with exponent ``p``, possibly ``inf``) or
-    ``"hyperbolic_cross"``.  ``gamma`` holds one strictly positive anisotropy
-    weight per input mode; its length sets the dimension.
+    ``"hyperbolic_cross"``.  ``gamma`` holds one strictly positive, finite
+    anisotropy weight per input mode; its length sets the dimension.
     """
 
     kind: str
@@ -57,10 +57,10 @@ class IndexSetSpec:
             raise ValueError(f"unknown index set kind {self.kind!r}")
         if gamma.ndim != 1 or gamma.size < 1:
             raise ValueError("gamma must be a non-empty 1-d array")
-        if np.any(gamma <= 0.0):
-            raise ValueError("gamma entries must be strictly positive")
-        if self.radius < 0.0:
-            raise ValueError("radius must be >= 0")
+        if not np.all((gamma > 0.0) & np.isfinite(gamma)):
+            raise ValueError(f"gamma entries must be positive and finite: {gamma}")
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise ValueError(f"radius must be finite and >= 0, not {self.radius!r}")
         if self.degree_cap < 0:
             raise ValueError("degree_cap must be >= 0")
         if self.kind == "lp_ball" and not (self.p >= 1.0):

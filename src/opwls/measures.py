@@ -11,7 +11,8 @@ normalized to unit mass.  The law is centered with second moment
 * :class:`UnivariateMeasure` -- one symmetric Jacobi marginal,
 * :class:`ProductMeasure` -- a finite product of marginals over input modes,
 * :class:`PolynomialFamily` -- the orthonormal polynomials of a marginal,
-  built from the closed-form three-term recurrence (no moment fitting),
+  whose three-term recurrence is closed form in the exponent and computed
+  when needed, never stored or fitted from moments,
 * :class:`QuadratureRule` / :func:`gauss_rule` -- Gaussian quadrature from the
   symmetric tridiagonal recurrence matrix.
 
@@ -137,32 +138,21 @@ def _recurrence_offdiag(alpha: float, n: int) -> np.ndarray:
 class PolynomialFamily:
     """Orthonormal polynomials of a symmetric Jacobi marginal.
 
-    ``b[n]`` are the three-term recurrence coefficients of the orthonormal
-    family,
+    The family stores only its measure and top degree ``n_max``: the
+    three-term recurrence coefficients ``b_n`` of
 
         b_{n+1} p_{n+1}(x) = x p_n(x) - b_n p_{n-1}(x),
 
-    with ``p_0 = 1``; symmetry of the measure zeroes the diagonal terms.
-    Leading coefficients are ``1 / (b_1 ... b_n) > 0``.
+    with ``p_0 = 1``, are closed form in the exponent and computed on
+    demand; symmetry of the measure zeroes the diagonal terms.  Leading
+    coefficients are ``1 / (b_1 ... b_n) > 0``.
     """
 
     measure: UnivariateMeasure
     n_max: int
-    b: np.ndarray = field(repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.measure == other.measure
-            and self.n_max == other.n_max
-            and np.array_equal(self.b, other.b)
-        )
 
     def recurrence_offdiag(self, n: int) -> np.ndarray:
         """Off-diagonal coefficients up to index ``n`` (closed form, any ``n``)."""
-        if n <= self.n_max:
-            return self.b[: n + 1]
         return _recurrence_offdiag(self.measure.alpha, n)
 
 
@@ -170,8 +160,7 @@ def build_family(measure: UnivariateMeasure, n_max: int) -> PolynomialFamily:
     """Construct the orthonormal family of ``measure`` up to degree ``n_max``."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    b = _recurrence_offdiag(measure.alpha, n_max + 1)
-    return PolynomialFamily(measure=measure, n_max=n_max, b=b)
+    return PolynomialFamily(measure=measure, n_max=n_max)
 
 
 def poly_table(family: PolynomialFamily, n_max: int, x: np.ndarray) -> np.ndarray:

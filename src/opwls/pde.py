@@ -143,8 +143,8 @@ class BurgersConfig:
     minimum, and its smallest odd grid, :func:`default_grid_size`, the
     default.  ``grid_size`` must be odd: the midpoint solver would run on
     any grid, but the odd rule is part of the config contract.
-    ``final_time / dt`` must be a whole number of at most
-    :data:`MAX_STEPS` steps.
+    ``viscosity``, ``final_time`` and ``dt`` must be positive and finite,
+    and ``final_time / dt`` a whole number of 1 to :data:`MAX_STEPS` steps.
     """
 
     viscosity: float
@@ -161,15 +161,17 @@ class BurgersConfig:
             # bool is an Integral, but true/false is never a size
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise TypeError(f"{name} must be an integer, not {value!r}")
-        if self.viscosity <= 0.0:
-            raise ValueError("viscosity must be positive")
-        if self.final_time <= 0.0 or self.dt <= 0.0:
-            raise ValueError("final_time and dt must be positive")
+        for name in ("viscosity", "final_time", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
         steps = self.final_time / self.dt
         if steps > MAX_STEPS:
             raise ValueError(f"final_time / dt = {steps!r} exceeds {MAX_STEPS} steps")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"final_time / dt = {steps!r} is not a whole number")
+        if round(steps) < 1:
+            raise ValueError(f"final_time / dt = {steps!r} gives no step")
         if self.d_solve <= 10 * max(self.d_in, self.d_out):
             raise ValueError(
                 "d_solve must exceed 10 * max(d_in, d_out) "

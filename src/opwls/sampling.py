@@ -27,7 +27,7 @@ distributed over workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from types import MethodType
 
@@ -41,7 +41,12 @@ from .measures import (
     gauss_rule,
     poly_table,
 )
-from .operator_basis import LinearRankOneBasis, PolyOperatorBasis, optimal_weight
+from .operator_basis import (
+    LinearRankOneBasis,
+    PolyOperatorBasis,
+    fields_equal,
+    optimal_weight,
+)
 
 __all__ = [
     "RngSeed",
@@ -60,16 +65,6 @@ __all__ = [
 ]
 
 _COLUMN_SUM_TOL = 1e-8
-
-
-def _arrays_equal(plan, other) -> bool:
-    # the generated __eq__ would compare the ndarray fields by ``==`` and raise
-    if type(other) is not type(plan):
-        return NotImplemented
-    return all(
-        np.array_equal(getattr(plan, f.name), getattr(other, f.name))
-        for f in fields(plan)
-    )
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,7 @@ class MixturePlan:
         if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("component probabilities must be a distribution")
 
-    __eq__ = _arrays_equal
+    __eq__ = fields_equal
 
 
 def mixture_plan(basis) -> MixturePlan:
@@ -308,7 +303,7 @@ class DiscretePlan:
     b_values: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    __eq__ = _arrays_equal
+    __eq__ = fields_equal
 
     @property
     def n_points(self) -> int:

@@ -94,16 +94,8 @@ class WlsSystem:
             raise ValueError("system entries must be finite")
 
     @property
-    def n_samples(self) -> int:
-        return int(self.design.shape[0])
-
-    @property
     def n_eff(self) -> int:
         return int(self.design.shape[1])
-
-    @property
-    def d_out(self) -> int:
-        return int(self.targets.shape[1])
 
     def gram(self) -> np.ndarray:
         """``A^T A``, formed on the first call; read-only, and shared."""
@@ -182,10 +174,6 @@ class OperatorEstimate:
     basis: object
     rank: int
     conditioned_out: bool = False
-
-    @property
-    def n_eff(self) -> int:
-        return int(self.coefficients.shape[0])
 
     @property
     def d_out(self) -> int:

@@ -784,6 +784,8 @@ class TestCli:
             ({**KERNEL, "sweep": [1],
               "measure": {"alpha_rule": "explicit", "alphas": [1.0, -math.inf]}}, ()),
             ({**BURGERS, "solver": {"dt": 1e-300}}, ()),
+            ({**BURGERS,
+              "index_set": {"gamma_rule": "linear_decay", "gamma_step": -1e308}}, ()),
         ],
         ids=["missing_experiment", "config_and_preset", "d_out_beyond_d_in",
              "d_in_zero", "float_grid_size", "float_d_solve", "even_grid_size",
@@ -799,7 +801,7 @@ class TestCli:
              "solver_viscosity_infinite", "solver_viscosity_nan", "sweep_nan",
              "energy_target_above_one", "energy_target_nan", "energy_target_zero",
              "solver_final_time_infinite", "explicit_alphas_infinite",
-             "solver_dt_tiny"],
+             "solver_dt_tiny", "gamma_step_overflow"],
     )
     def test_rejected_run_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                      document, args):
@@ -807,6 +809,20 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_rejected_without_files(tmp_path, document, *args)
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                          kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"experiment": "\xff"}')
+        never = tmp_path / "never"
+        assert main(["run", str(path), "--out", str(never)]) == 2
+        assert not never.exists()
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
 

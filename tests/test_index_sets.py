@@ -134,6 +134,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             IndexSetSpec(kind="lp_ball", radius=1.0, gamma=np.ones(2),
                          degree_cap=3, p=0.5)
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius"):
+                IndexSetSpec(kind="hyperbolic_cross", radius=radius,
+                             gamma=np.ones(2), degree_cap=3)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                IndexSetSpec(kind="lp_ball", radius=1.0,
+                             gamma=np.array([1.0, bad]), degree_cap=3)
+        IndexSetSpec(kind="lp_ball", radius=1.0, gamma=np.ones(2), degree_cap=3,
+                     p=math.inf)
 
 
 class TestMonotoneLower:

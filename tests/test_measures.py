@@ -72,7 +72,23 @@ class TestFamily:
     def test_leading_coefficients_positive(self):
         # positive b guarantees positive leading coefficients by induction
         fam = build_family(UnivariateMeasure(1.5), 8)
-        assert np.all(fam.b[1:] > 0.0)
+        assert np.all(fam.recurrence_offdiag(fam.n_max + 1)[1:] > 0.0)
+
+    @pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 1.5, 13.5, 1e4])
+    def test_recurrence_is_bitwise_prefix_of_longer_one(self, alpha):
+        # the coefficients are recomputed on every call, so a short call must
+        # give the bits of the same entries of a longer one
+        fam = build_family(UnivariateMeasure(alpha), 3)
+        longest = fam.recurrence_offdiag(40)
+        for n in range(40):
+            assert fam.recurrence_offdiag(n).tobytes() == longest[: n + 1].tobytes()
+
+    def test_same_arguments_give_equal_families(self):
+        fam = build_family(UnivariateMeasure(0.5), 6)
+        again = build_family(UnivariateMeasure(0.5), 6)
+        assert fam == again
+        assert hash(fam) == hash(again)
+        assert fam != build_family(UnivariateMeasure(0.5), 7)
 
     def test_rejects_degenerate_alpha(self):
         with pytest.raises(ValueError):

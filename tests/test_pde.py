@@ -162,6 +162,14 @@ class TestBurgersConfig:
             BurgersConfig.create(
                 viscosity=0.1, final_time=0.00015, dt=1e-4, d_in=3, d_out=3
             )
+        for field, value in [("viscosity", math.inf), ("viscosity", math.nan),
+                             ("final_time", math.inf), ("dt", math.inf)]:
+            with pytest.raises(ValueError, match=field):
+                BurgersConfig.create(**{"viscosity": 0.1, field: value},
+                                     d_in=3, d_out=3)
+        with pytest.raises(ValueError, match="no step"):
+            BurgersConfig.create(viscosity=0.1, final_time=5e-324, dt=10.0,
+                                 d_in=3, d_out=3)
 
 
 class TestBurgersSolver:
