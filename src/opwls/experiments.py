@@ -57,6 +57,7 @@ from .index_sets import IndexSetSpec, generate
 from .measures import ProductMeasure
 from .operator_basis import LinearRankOneBasis, PolyOperatorBasis
 from .pde import (
+    DATASET_REVISION,
     BurgersConfig,
     DataSet,
     build_dataset,
@@ -480,14 +481,18 @@ def cached_dataset(
     a cache hit reproduces a fit bit for bit.  The ``<key>.json`` provenance
     sidecar is written last, so a dataset whose write was cut short is never
     read.  Neither is one whose sidecar records another ``solver_config``
-    than the resolved one ``truth`` solves with: the key hashes the config
-    as written, where a ``null`` solver setting stands for a default that
-    may change.
+    than the resolved one ``truth`` solves with, since the key hashes the
+    config as written, where a ``null`` solver setting stands for a default
+    that may change; nor one whose sidecar records another
+    ``dataset_revision`` than :data:`~opwls.pde.DATASET_REVISION`, the code
+    that draws and solves today.  Such a dataset is made again and, if
+    ``write``, overwritten.
     """
     arrays, sidecar = directory / f"{key}.npz", directory / f"{key}.json"
     if arrays.exists() and sidecar.exists():
         provenance = json.loads(sidecar.read_text(encoding="utf-8"))
-        if provenance.get("solver_config") == solver_config:
+        if (provenance.get("dataset_revision") == DATASET_REVISION
+                and provenance.get("solver_config") == solver_config):
             with np.load(arrays) as stored:
                 return DataSet(**stored, provenance=provenance)
     ds = truth(*draw(), **truth_kwargs)
@@ -623,6 +628,7 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
             estimate, summary, t_fit = fit_once(
                 basis, ds.inputs, ds.weights, ds.outputs
             )
+            del ds  # spent: free it before the test set and the next draw
             t0 = time.perf_counter()
             test_tags = (tag, trial) if spec.test_per_trial else (tag,)
             test = test_set(derive_seed(config.seed, "test", *test_tags))
@@ -659,6 +665,7 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
                     coefficients = estimate.coefficients * np.sqrt(weighting.weights)
                     name = spec.coeff_file.format(tag, weighting.alpha)
                     write_coefficients(coeffs_dir / name, coefficients, basis)
+            del estimate, predicted  # spent too: free them before the next draw
     write_csv(
         out / "results.csv",
         [*spec.lead_columns, *keys, "M", "cond_G", "gap", "test_error",
@@ -777,7 +784,8 @@ def demo_target(points: np.ndarray, d_out: int) -> np.ndarray:
 
 def demo_dataset(width, samples, weights, *, d_out=None, **provenance) -> DataSet:
     """:func:`demo_target` as a ground truth of ``width`` outputs, cut to ``d_out``."""
-    provenance.update(operator="demo_target", input_hash=content_hash(samples))
+    provenance.update(operator="demo_target", input_hash=content_hash(samples),
+                      dataset_revision=DATASET_REVISION)
     return DataSet(samples, demo_target(samples, d_out or width), weights, provenance)
 
 
@@ -878,8 +886,8 @@ FIT_SPECS = {
 # entry point
 
 
-def openblas_thread_calls() -> tuple[Callable, Callable] | None:
-    """``(get, set)`` of numpy's OpenBLAS thread count, or ``None``.
+def openblas_functions(*names: str) -> list | None:
+    """numpy's OpenBLAS functions ``names``, all from one library, or ``None``.
 
     ``dlsym`` on numpy's core extension also searches the OpenBLAS that numpy
     loaded with it: the ``scipy_openblas`` names of numpy's wheels, else the
@@ -888,14 +896,36 @@ def openblas_thread_calls() -> tuple[Callable, Callable] | None:
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
         try:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            return [getattr(lib, f"{prefix}{name}{suffix}") for name in names]
         except AttributeError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
     return None
+
+
+def openblas_thread_calls() -> tuple[Callable, Callable] | None:
+    """``(get, set)`` of numpy's OpenBLAS thread count, or ``None``."""
+    calls = openblas_functions("get_num_threads", "set_num_threads")
+    if calls is None:
+        return None
+    get, set_ = calls
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def openblas_core() -> str | None:
+    """The kernel numpy's OpenBLAS picked at run time, or ``None``.
+
+    A ``DYNAMIC_ARCH`` build picks it for the CPU it runs on, so the last
+    digits of a fit follow the CPU too; ``np.show_config`` reports only the
+    build host's.
+    """
+    calls = openblas_functions("get_corename")
+    if calls is None:
+        return None
+    (corename,) = calls
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode().strip()
 
 
 @contextmanager
@@ -948,12 +978,14 @@ def run(config: ExperimentConfig) -> RunResult:
             "created_at": datetime.now(timezone.utc).isoformat(),
             "results_rows": len(rows),
             # timings depend on these; the last digits of results also depend
-            # on the BLAS build, recorded as numpy reports it, and on the
-            # thread count the run held OpenBLAS to (null: another BLAS)
+            # on the BLAS build, recorded as numpy reports it, on the kernel
+            # OpenBLAS picked for this CPU, and on the thread count the run
+            # held OpenBLAS to (null for both: another BLAS)
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "blas": f"{blas['name']} {blas['version']}",
+                "blas_core": openblas_core(),
                 "blas_threads": threads,
                 "burgers_threads": solver_threads(),
             },

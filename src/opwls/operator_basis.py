@@ -120,7 +120,8 @@ class LinearRankOneBasis:
     def scalar_features(self, fhat: np.ndarray) -> np.ndarray:
         """Normalized selected coordinates ``fhat_{n1} / sigma_{n1}``, freshly made."""
         batch, single = _as_batch(fhat, self.d_in)
-        out = batch[:, self.input_modes] / self.sigmas
+        out = batch[:, self.input_modes]
+        out /= self.sigmas  # in place: the gather is already a fresh array
         return out[0] if single else out
 
 

@@ -49,11 +49,16 @@ __all__ = [
     "default_d_solve",
     "default_grid_size",
     "default_dt",
+    "DATASET_REVISION",
 ]
 
 _BATCH_CHUNK = 1024
 # the index sets' hard limit, and 125 times the finest default rule, T/8000
 MAX_STEPS = 10**6
+# the code that draws inputs and solves outputs, as every dataset's provenance
+# records it; a change to any drawn input or ground-truth output bumps it, so
+# a cache written before the change is never read
+DATASET_REVISION = 1
 
 
 def sine_modes_2d(max_mode: int, order: str = "row") -> np.ndarray:
@@ -87,7 +92,8 @@ def poisson_apply_2d(fhat: np.ndarray, modes: np.ndarray) -> np.ndarray:
     if np.any(modes < 1):
         raise ValueError("2-d sine modes start at (1, 1)")
     eig = np.pi**2 * (modes[:, 0] ** 2 + modes[:, 1] ** 2).astype(float)
-    return -np.asarray(fhat, dtype=float) / eig
+    # one output array: -f / e and f / -e round alike
+    return np.asarray(fhat, dtype=float) / -eig
 
 
 def poisson_apply_1d(fhat: np.ndarray) -> np.ndarray:
@@ -391,7 +397,8 @@ def build_dataset(
     ``operator`` is ``"poisson1d"``, ``"poisson2d"`` (needs ``modes_2d``), or
     ``"burgers"`` (needs ``burgers_config``).  Outputs are truncated to
     ``d_out`` columns when given.  Provenance records the seed, sampler kind,
-    solver configuration, and a content hash of the inputs.
+    solver configuration, a content hash of the inputs and the
+    :data:`DATASET_REVISION`.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
@@ -418,6 +425,7 @@ def build_dataset(
         "seed": seed,
         "solver_config": burgers_config.as_dict() if burgers_config else None,
         "input_hash": content_hash(samples),
+        "dataset_revision": DATASET_REVISION,
     }
     return DataSet(
         inputs=samples, outputs=outputs, weights=weights, provenance=provenance

@@ -268,6 +268,7 @@ def sample_optimal(
                 samples[rows, j] = _invert(
                     tables[j].nodes, tables[j].cdf[d], u[rows, 1 + j]
                 )
+    del u  # spent: free the (M, d_in + 1) block before the features are made
     weights = np.atleast_1d(optimal_weight(basis, samples))
     return samples, weights
 

@@ -224,7 +224,8 @@ def test_criterion_6_burgers_accuracy():
     )
     report(
         6, ok,
-        f"N_eff={n_eff}, M={m}: relative error nu=0.1: {relative[0.1]:.2e} "
+        f"N_eff={n_eff}, M={m}: relative squared error "
+        f"nu=0.1: {relative[0.1]:.2e} "
         f"(rmse {rel_rmse[0.1]:.2e}, <=5e-2); nu=0.01: {relative[0.01]:.2e} "
         f"strictly larger; elapsed {time.perf_counter()-start:.0f}s (target 600s)",
     )

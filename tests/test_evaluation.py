@@ -12,10 +12,18 @@ from opwls.evaluation import (
     operator_matrix_view,
     reconstruct_kernel,
 )
+from opwls.experiments import demo_target
+from opwls.index_sets import IndexSetSpec, generate
 from opwls.measures import ProductMeasure
 from opwls.operator_basis import LinearRankOneBasis, PolyOperatorBasis
 from opwls.pde import poisson_apply_1d
-from opwls.sampling import RngSeed, sample_monte_carlo
+from opwls.sampling import (
+    RngSeed,
+    build_induced_tables,
+    mixture_plan,
+    sample_monte_carlo,
+    sample_optimal,
+)
 from opwls.wls import OperatorEstimate, assemble, solve
 
 
@@ -234,3 +242,34 @@ class TestOperatorMatrixView:
         assert np.linalg.norm(off) <= 1e-10 * np.linalg.norm(view)
         eigen = 1.0 / (math.pi**2 * np.arange(1, d + 1) ** 2)
         assert np.abs(np.diag(view) - eigen).max() <= 1e-12
+
+
+def test_discretized_measure_scores_like_the_continuous_one():
+    # every draw lies on the Q Gauss nodes of each marginal; the rule is
+    # exact to degree 2Q - 1, so the error norm of the discretized measure
+    # estimates the continuous Bochner norm of a smooth target's fit
+    d_in, d_out, n = 8, 12, 2000
+    alphas = np.arange(1, d_in + 1, dtype=float) ** 2
+    measure = ProductMeasure.from_alphas(alphas)
+    spec = IndexSetSpec(kind="hyperbolic_cross", radius=4.0, gamma=np.ones(d_in),
+                        degree_cap=10)
+    basis = PolyOperatorBasis.build(measure, generate(spec), d_out)
+    m = math.ceil(basis.n_eff * math.log(basis.n_eff))
+    tables = build_induced_tables(measure, basis)
+    x, w = sample_optimal(mixture_plan(basis), tables, RngSeed(11), m, basis)
+    estimate = solve(assemble(basis, x, w, demo_target(x, d_out)), basis)
+    discrete, _ = sample_monte_carlo(measure, RngSeed(21), n, tables=tables)
+    # Jacobi(alpha, alpha) on [-1, 1] is 2 Beta(alpha + 1, alpha + 1) - 1
+    beta = np.random.default_rng(31).beta(alphas + 1.0, alphas + 1.0, (n, d_in))
+    scores = []
+    for inputs in (discrete, 2.0 * beta - 1.0):
+        truth, predicted = demo_target(inputs, d_out), estimate.predict(inputs)
+        relative = empirical_bochner_error(truth, predicted).relative
+        # the standard error of a ratio of means, by the delta method
+        error = np.sum((truth - predicted) ** 2, axis=1)
+        energy = np.sum(truth**2, axis=1)
+        se = np.std(error - relative * energy, ddof=1) / math.sqrt(n) / energy.mean()
+        scores.append((relative, se))
+    (on_nodes, se_nodes), (continuous, se_continuous) = scores
+    assert all(np.isin(discrete[:, j], tables[j].nodes).all() for j in range(d_in))
+    assert abs(on_nodes - continuous) <= 4.0 * math.hypot(se_nodes, se_continuous)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -27,6 +28,7 @@ from opwls.experiments import (
     derive_seed,
     fit_once,
     format_cell,
+    openblas_core,
     openblas_thread_calls,
     run,
     select_d_in,
@@ -34,7 +36,7 @@ from opwls.experiments import (
     write_coefficients,
     write_csv,
 )
-from opwls.pde import build_dataset
+from opwls.pde import DATASET_REVISION, build_dataset
 
 
 def tiny_poisson2d(tmp_path, **overrides):
@@ -462,6 +464,7 @@ def test_manifest_records_blas_and_its_threads(tmp_path):
         manifest = run_in_subprocess(config, {"OPENBLAS_NUM_THREADS": str(threads)})
         environment = manifest["environment"]
         assert environment["blas_threads"] == 1
+        assert environment["blas_core"] == openblas_core()
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert environment["blas"] == f"{blas['name']} {blas['version']}"
         artifacts.append(stable_artifacts(Path(config.out_dir)))
@@ -553,8 +556,54 @@ def test_run_without_openblas_records_null(tmp_path, monkeypatch, two_blas_threa
     config = tiny_poisson2d(tmp_path, trials=1, sweep=[4])
     result = run(config)
     assert result.manifest["environment"]["blas_threads"] is None
+    assert result.manifest["environment"]["blas_core"] is None
     assert (Path(config.out_dir) / "results.csv").exists()
     assert two_blas_threads() == 2
+
+
+def test_run_holds_one_draw_at_a_time(tmp_path):
+    # memory grows with the largest training set, not a multiple of it: a
+    # draw's set, fit and predictions are freed before the next draw
+    config = tiny_poisson2d(
+        tmp_path, measure={"alpha_rule": "l1_cubed", "max_mode": 10},
+        sweep=[100], trials=2, write_datasets=False,
+    )
+    (_, basis, m, _, _), = config.validate().entries
+    largest = m * (basis.d_in + basis.d_out + 1) * 8
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * largest
+
+
+@pytest.mark.parametrize("make", [tiny_poisson2d, tiny_discrete],
+                         ids=["build_dataset", "demo_dataset"])
+def test_other_revision_sidecar_never_read(tmp_path, make):
+    # a dataset cached by code that drew or solved otherwise, under another
+    # revision or before the stamp existed, is made again and overwritten
+    config = make(tmp_path, trials=1, write_datasets=True)
+    result = run(config)
+    first, cached = stable_artifacts(result.out_dir), dataset_files(result.out_dir)
+    sidecars = sorted((result.out_dir / "dataset").glob("*.json"))
+    resolved = [json.loads(p.read_text()) for p in sidecars]
+    assert {p["dataset_revision"] for p in resolved} == {DATASET_REVISION}
+    for stale in (
+        lambda provenance: {**provenance, "dataset_revision": DATASET_REVISION + 1},
+        lambda provenance: {k: v for k, v in provenance.items()
+                            if k != "dataset_revision"},
+    ):
+        for path, provenance in zip(sidecars, resolved):
+            path.write_text(json.dumps(stale(provenance)))
+            arrays = path.with_suffix(".npz")
+            with np.load(arrays) as stored:
+                garbage = {k: v + 1.0 for k, v in stored.items()}
+            np.savez(arrays, **garbage)
+        run(config)
+        assert stable_artifacts(result.out_dir) == first
+        assert dataset_files(result.out_dir) == cached
 
 
 def test_kernel_coefficients_from_first_sampler(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,21 @@ class TestLinearFeatures:
         measure = ProductMeasure.from_alphas([0.0, 1.0])
         with pytest.raises(ValueError):
             LinearRankOneBasis.from_measure(measure, [0, 5], d_out=1)
+
+    def test_allocates_one_output_array(self, rng):
+        # the gathered columns are divided in place, so the features are the
+        # one output-sized array made
+        measure = ProductMeasure.from_alphas(np.arange(1.0, 65.0))
+        basis = LinearRankOneBasis.from_measure(measure, np.arange(48), d_out=1)
+        fhat = rng.uniform(-1.0, 1.0, (2000, 64))
+        tracemalloc.start()
+        try:
+            features = basis.scalar_features(fhat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert features.shape == (2000, 48)
+        assert peak < 1.5 * features.nbytes
 
 
 class TestChristoffel:
