@@ -458,11 +458,11 @@ def write_coefficients(path: Path, coefficients: np.ndarray, basis) -> None:
         header = [str(int(m)) for m in basis.input_modes]
     else:  # cloud-orthonormal features have no index set entry of their own
         header = [f"b{j}" for j in range(basis.n_eff)]
-    # every cell is a float: format the Python floats directly, which gives
-    # the bytes format_cell gives for the numpy ones
+    # every cell is a float: format each row of Python floats with one %,
+    # which gives the bytes format_cell gives for the numpy ones
+    row_format = ",".join([FLOAT_FMT] * coefficients.shape[0])
     lines = [",".join(header)]
-    lines += [",".join([FLOAT_FMT % v for v in row])
-              for row in coefficients.T.tolist()]
+    lines += [row_format % tuple(row) for row in coefficients.T.tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -477,28 +477,36 @@ def cached_dataset(
 ) -> DataSet:
     """Dataset ``key`` from the cache, else made by ``truth`` and cached if ``write``.
 
-    ``<key>.npz`` holds ``inputs``, ``weights`` and ``outputs`` losslessly, so
-    a cache hit reproduces a fit bit for bit.  The ``<key>.json`` provenance
-    sidecar is written last, so a dataset whose write was cut short is never
-    read.  Neither is one whose sidecar records another ``solver_config``
-    than the resolved one ``truth`` solves with, since the key hashes the
-    config as written, where a ``null`` solver setting stands for a default
-    that may change; nor one whose sidecar records another
+    ``<key>.arrays`` holds the ``.npy`` records of ``inputs``, ``weights`` and
+    ``outputs``, back to back, so a cache hit reproduces a fit bit for bit.
+    The ``<key>.json`` provenance sidecar is removed before the arrays are
+    written and written after them, so a dataset whose write was cut short
+    is never read.  Neither is one whose sidecar records another
+    ``solver_config`` than the resolved one ``truth`` solves with, since the
+    key hashes the config as written, where a ``null`` solver setting stands
+    for a default that may change; nor one whose sidecar records another
     ``dataset_revision`` than :data:`~opwls.pde.DATASET_REVISION`, the code
     that draws and solves today.  Such a dataset is made again and, if
     ``write``, overwritten.
     """
-    arrays, sidecar = directory / f"{key}.npz", directory / f"{key}.json"
+    arrays, sidecar = directory / f"{key}.arrays", directory / f"{key}.json"
     if arrays.exists() and sidecar.exists():
         provenance = json.loads(sidecar.read_text(encoding="utf-8"))
         if (provenance.get("dataset_revision") == DATASET_REVISION
                 and provenance.get("solver_config") == solver_config):
-            with np.load(arrays) as stored:
-                return DataSet(**stored, provenance=provenance)
+            # on a real file numpy reads each record with one np.fromfile
+            with arrays.open("rb") as f:
+                inputs, weights, outputs = (np.lib.format.read_array(f)
+                                            for _ in range(3))
+            return DataSet(inputs=inputs, weights=weights, outputs=outputs,
+                           provenance=provenance)
     ds = truth(*draw(), **truth_kwargs)
     if write:
         directory.mkdir(parents=True, exist_ok=True)
-        np.savez(arrays, inputs=ds.inputs, weights=ds.weights, outputs=ds.outputs)
+        sidecar.unlink(missing_ok=True)
+        with arrays.open("wb") as f:
+            for a in (ds.inputs, ds.weights, ds.outputs):
+                np.lib.format.write_array(f, a, allow_pickle=False)
         sidecar.write_text(
             json.dumps(ds.provenance, indent=2, sort_keys=True, default=str) + "\n",
             encoding="utf-8",

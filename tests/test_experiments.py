@@ -24,6 +24,7 @@ from opwls.experiments import (
     ConfigError,
     ExperimentConfig,
     build_measure,
+    cached_dataset,
     dataset_key,
     derive_seed,
     fit_once,
@@ -152,6 +153,23 @@ def dataset_files(out: Path) -> list[tuple[str, bytes]]:
     return [(p.name, p.read_bytes()) for p in sorted((out / "dataset").iterdir())]
 
 
+DATASET_FIELDS = ("inputs", "weights", "outputs")
+
+
+def read_arrays(path: Path) -> dict[str, np.ndarray]:
+    """The three ``.npy`` records of a cached dataset; the file ends after them."""
+    with path.open("rb") as f:
+        stored = {name: np.lib.format.read_array(f) for name in DATASET_FIELDS}
+        assert f.read() == b""
+    return stored
+
+
+def write_arrays(path: Path, stored: dict[str, np.ndarray]) -> None:
+    with path.open("wb") as f:
+        for name in DATASET_FIELDS:
+            np.lib.format.write_array(f, stored[name], allow_pickle=False)
+
+
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
         config = tiny_poisson2d(tmp_path)
@@ -257,16 +275,15 @@ class TestPoisson2dRun:
         assert (out / "manifest.json").exists()
         assert (out / "gram.csv").exists()
         assert list((out / "coeffs").glob("*.csv"))
-        # both samplers' training sets and the test set, each an .npz of
-        # its arrays plus a JSON provenance sidecar
-        datasets = sorted((out / "dataset").glob("*.npz"))
+        # both samplers' training sets and the test set, each a .arrays of
+        # its three .npy records plus a JSON provenance sidecar
+        datasets = sorted((out / "dataset").glob("*.arrays"))
         assert len(datasets) == 3
         for path in datasets:
-            with np.load(path) as stored:
-                assert sorted(stored.files) == ["inputs", "outputs", "weights"]
-                rows = stored["inputs"].shape[0]
-                assert stored["weights"].shape == (rows,)
-                assert stored["outputs"].shape[0] == rows
+            stored = read_arrays(path)
+            rows = stored["inputs"].shape[0]
+            assert stored["weights"].shape == (rows,)
+            assert stored["outputs"].shape[0] == rows
             provenance = json.loads(path.with_suffix(".json").read_text())
             assert provenance["operator"] == "poisson2d"
         manifest = json.loads((out / "manifest.json").read_text())
@@ -303,13 +320,15 @@ class TestBurgersRun:
         assert header[0] == "k"
         assert len(lines) == 1 + len(config.sweep)
         # one training set per radius and one test set per radius, each an
-        # .npz of its arrays plus a JSON provenance sidecar
+        # .arrays of its three .npy records plus a JSON provenance sidecar
         cache = result.out_dir / "dataset"
-        arrays = sorted(cache.glob("*.npz"))
+        arrays = sorted(cache.glob("*.arrays"))
         assert len(arrays) == 2 * len(config.sweep)
         for path in arrays:
-            with np.load(path) as stored:
-                assert sorted(stored.files) == ["inputs", "outputs", "weights"]
+            stored = read_arrays(path)
+            rows = stored["inputs"].shape[0]
+            assert stored["weights"].shape == (rows,)
+            assert stored["outputs"].shape[0] == rows
             provenance = json.loads(path.with_suffix(".json").read_text())
             assert provenance["operator"] == "burgers"
         assert len(list(cache.iterdir())) == 2 * len(arrays)
@@ -334,10 +353,9 @@ class TestBurgersRun:
         for stale in ({**solver, "grid_size": 63}, interval_grid):
             for path, provenance in zip(sidecars, resolved):
                 path.write_text(json.dumps({**provenance, "solver_config": stale}))
-                arrays = path.with_suffix(".npz")
-                with np.load(arrays) as stored:
-                    garbage = {k: v + 1.0 for k, v in stored.items()}
-                np.savez(arrays, **garbage)
+                arrays = path.with_suffix(".arrays")
+                garbage = {k: v + 1.0 for k, v in read_arrays(arrays).items()}
+                write_arrays(arrays, garbage)
             run(config)
             assert stable_artifacts(result.out_dir) == first
             assert [json.loads(p.read_text()) for p in sidecars] == resolved
@@ -597,13 +615,78 @@ def test_other_revision_sidecar_never_read(tmp_path, make):
     ):
         for path, provenance in zip(sidecars, resolved):
             path.write_text(json.dumps(stale(provenance)))
-            arrays = path.with_suffix(".npz")
-            with np.load(arrays) as stored:
-                garbage = {k: v + 1.0 for k, v in stored.items()}
-            np.savez(arrays, **garbage)
+            arrays = path.with_suffix(".arrays")
+            garbage = {k: v + 1.0 for k, v in read_arrays(arrays).items()}
+            write_arrays(arrays, garbage)
         run(config)
         assert stable_artifacts(result.out_dir) == first
         assert dataset_files(result.out_dir) == cached
+
+
+@pytest.mark.parametrize("rows", [1, 37])
+def test_cached_dataset_round_trip(tmp_path, rows):
+    # a miss writes what it returns, and a hit reads back the same dtype,
+    # shape and bytes without drawing; the file ends after the third record
+    rng = np.random.default_rng(rows)
+    drawn = rng.uniform(-1.0, 1.0, (rows, 3)), rng.uniform(0.5, 2.0, rows)
+
+    def no_draw():
+        raise AssertionError("a cache hit draws nothing")
+
+    made = cached_dataset(tmp_path, "key", True, lambda: drawn, build_dataset,
+                          operator="poisson1d")
+    hit = cached_dataset(tmp_path, "key", False, no_draw, build_dataset,
+                         operator="poisson1d")
+    stored = read_arrays(tmp_path / "key.arrays")
+    for name in DATASET_FIELDS:
+        a, b = getattr(made, name), getattr(hit, name)
+        assert a.shape[0] == rows
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) == (stored[name].dtype,
+                                                             stored[name].shape)
+        assert a.tobytes() == b.tobytes() == stored[name].tobytes()
+    assert hit.provenance == made.provenance
+
+
+def test_cut_short_rewrite_never_read(tmp_path, monkeypatch):
+    # a rewrite cut short beside the sidecar of an earlier write leaves no
+    # sidecar, so its partial arrays are made again, never read
+    config = tiny_poisson2d(tmp_path, trials=1)
+    result = run(config)
+    first = stable_artifacts(result.out_dir)
+    arrays = sorted((result.out_dir / "dataset").glob("*.arrays"))[0]
+    whole = arrays.read_bytes()
+    arrays.unlink()
+    write_array = np.lib.format.write_array
+
+    def cut_short(f, a, **kwargs):
+        write_array(f, a, **kwargs)
+        raise OSError("cut short")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.lib.format, "write_array", cut_short)
+        with pytest.raises(OSError, match="cut short"):
+            run(config)
+    assert 0 < arrays.stat().st_size < len(whole)
+    run(config)
+    assert arrays.read_bytes() == whole
+    assert stable_artifacts(result.out_dir) == first
+
+
+def test_npz_from_earlier_code_never_read(tmp_path):
+    # earlier code cached <key>.npz; beside a matching sidecar it is ignored,
+    # and the run makes <key>.arrays as a cold run does
+    config = tiny_poisson2d(tmp_path, trials=1)
+    result = run(config)
+    first, cached = stable_artifacts(result.out_dir), dataset_files(result.out_dir)
+    for arrays in (result.out_dir / "dataset").glob("*.arrays"):
+        garbage = {k: v + 1.0 for k, v in read_arrays(arrays).items()}
+        np.savez(arrays.with_suffix(".npz"), **garbage)
+        arrays.unlink()
+    old = [f for f in dataset_files(result.out_dir) if f[0].endswith(".npz")]
+    assert old and 2 * len(old) == len(cached)
+    run(config)
+    assert stable_artifacts(result.out_dir) == first
+    assert sorted(dataset_files(result.out_dir)) == sorted(cached + old)
 
 
 def test_kernel_coefficients_from_first_sampler(tmp_path):
@@ -636,14 +719,13 @@ class TestDiscreteDemo:
         # the test set is the whole cloud, whatever n_test says, and is
         # keyed and labelled as such
         seed = derive_seed(3, "test", 2)
-        [test_set] = [p for p in (result.out_dir / "dataset").glob("*.npz")
+        [test_set] = [p for p in (result.out_dir / "dataset").glob("*.arrays")
                       if json.loads(p.with_suffix(".json").read_text())["seed"]
                       == seed]
         key = dataset_key(result.manifest["config_hash"], "cloud", seed, 200)
         assert test_set.stem == key
         assert json.loads(test_set.with_suffix(".json").read_text())["sampler"] == "cloud"
-        with np.load(test_set) as stored:
-            assert stored["inputs"].shape == (200, 4)
+        assert read_arrays(test_set)["inputs"].shape == (200, 4)
 
     def test_one_fit_per_draw(self, tmp_path, monkeypatch):
         fits, written = [], {}
