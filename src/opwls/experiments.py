@@ -444,9 +444,10 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(format_cell(v) for v in row) for row in rows]
+def write_csv(path: Path, records: list[dict]) -> None:
+    """One line per record, under a header of the first record's keys."""
+    lines = [",".join(records[0])]
+    lines += [",".join(format_cell(v) for v in r.values()) for r in records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -526,7 +527,7 @@ class RunResult:
 
 
 def fit_once(basis, samples, weights, outputs):
-    """Assemble, diagnose and solve one system; also the three stage times.
+    """Assemble, diagnose and solve one system; also its ``timings.csv`` times.
 
     The system is dropped on return, so it never outlives its fit.
     """
@@ -536,7 +537,8 @@ def fit_once(basis, samples, weights, outputs):
     summary = gram_diagnostics(system)
     t2 = time.perf_counter()
     estimate = solve(system, basis)
-    return estimate, summary, [t1 - t0, t2 - t1, time.perf_counter() - t2]
+    return estimate, summary, {"t_assemble": t1 - t0, "t_gram": t2 - t1,
+                               "t_solve": time.perf_counter() - t2}
 
 
 def _or_nan(value: float | None) -> float:
@@ -569,32 +571,32 @@ class FitSpec:
 
     ``entries`` holds one built ``(tag, basis, M, lead, draw)`` per sweep
     value: ``tag`` enters the seeds and the coefficient file name, ``lead``
-    fills ``lead_columns``, and ``draw(sampler, rng, size)`` gives inputs
-    and weights.  ``truth(inputs, weights, d_out=, seed=, sampler=)`` gives
-    the :class:`DataSet`; if it runs a solver, ``solver_config`` is the
-    resolved configuration its provenance records.  Test sets,
+    is a dict of the columns that open each of its rows, and
+    ``draw(sampler, rng, size)`` gives inputs and weights.
+    ``truth(inputs, weights, d_out=, seed=, sampler=)`` gives the
+    :class:`DataSet`; if it runs a solver, ``solver_config`` is the resolved
+    configuration its provenance records.  Test sets,
     ``monte_carlo`` draws of ``n_test``, or the whole ``test_cloud`` (sampler
     ``cloud``) if one is given, keep every output column and are seeded per
     (tag, trial) if ``test_per_trial``, else per tag.  Each draw is fitted
     once, scored once per :class:`SobolevWeighting` in ``weightings``, or
     once, unweighted and with no ``alpha`` column, if ``None``.
-    ``metrics(estimate, report, test)`` fills ``metric_columns``.
+    ``metrics(estimate, report, test)`` gives the dict of columns that
+    follow ``test_error`` in ``results.csv``.
     """
 
     d_out: int
     entries: list
     truth: Callable[..., DataSet]
-    metric_columns: list
-    metrics: Callable[..., list]
+    metrics: Callable[..., dict]
     coeff_file: str
-    lead_columns: list = field(default_factory=list)
     test_per_trial: bool = True
     test_cloud: np.ndarray | None = None
     weightings: list | None = None
     solver_config: dict | None = None
 
 
-def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
+def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> int:
     """Draw, solve, fit and predict once per (sweep entry, sampler, trial).
 
     Each fit is scored once per alpha: a weighting is a norm, not a fit
@@ -602,12 +604,12 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
     :func:`cached_dataset`.  Writes one row per score to ``results.csv``,
     ``gram.csv`` and ``timings.csv``, one record per score to ``errors.json``,
     and the coefficients of trial 0 of the first sampler to ``coeffs/``.
+    Returns the number of rows.
     """
     cfg_hash = config.content_hash()
     coeffs_dir = out / "coeffs"
     coeffs_dir.mkdir(parents=True, exist_ok=True)
     weightings = spec.weightings or [SobolevWeighting.flat(spec.d_out)]
-    keys = ["N_eff", "sampling", "trial", *(["alpha"] if spec.weightings else [])]
     rows, gram_rows, timing_rows, error_records = [], [], [], []
 
     def dataset(draw, sampler: str, seed: int, size: int, d_out) -> DataSet:
@@ -636,6 +638,7 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
             estimate, summary, t_fit = fit_once(
                 basis, ds.inputs, ds.weights, ds.outputs
             )
+            times = {"t_dataset": t_dataset, **t_fit}
             del ds  # spent: free it before the test set and the next draw
             t0 = time.perf_counter()
             test_tags = (tag, trial) if spec.test_per_trial else (tag,)
@@ -651,58 +654,50 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> list[list]:
                 )
                 metrics = spec.metrics(estimate, report, test)
                 t_test = t_predict + time.perf_counter() - t0
-                key = [basis.n_eff, sampler, trial, weighting.alpha][: len(keys)]
-                rows.append([*lead, *key, m, summary.condition, summary.spectral_gap,
-                             report.absolute, *metrics, cfg_hash, stable])
-                gram_rows.append(
-                    [*key, summary.spectral_gap, summary.condition,
-                     summary.block_size, stable, cfg_hash]
-                )
-                timing_rows.append([*lead, *key, m, t_dataset, *t_fit, t_test])
+                key = {"N_eff": basis.n_eff, "sampling": sampler, "trial": trial}
+                if spec.weightings:
+                    key["alpha"] = weighting.alpha
+                rows.append({
+                    **lead, **key, "M": m, "cond_G": summary.condition,
+                    "gap": summary.spectral_gap, "test_error": report.absolute,
+                    **metrics, "config_hash": cfg_hash, "stable": stable,
+                })
+                gram_rows.append({
+                    **key, "gap": summary.spectral_gap, "cond": summary.condition,
+                    "block_size": summary.block_size, "stable": stable,
+                    "config_hash": cfg_hash,
+                })
+                timing_rows.append({**lead, **key, "M": m, **times, "t_test": t_test})
                 error_records.append({
-                    **dict(zip([*spec.lead_columns, *keys], [*lead, *key])),
+                    **lead, **key,
                     "quantiles": {str(q): v for q, v in report.quantiles.items()},
                     "mean_of_ratios": report.mean_of_ratios,
                     "gap": summary.spectral_gap,
                     "cond": summary.condition,
                     "block_size": summary.block_size,
                 })
-                t_dataset, t_fit, t_predict = 0.0, [0.0] * 3, 0.0
+                times, t_predict = dict.fromkeys(times, 0.0), 0.0
                 if sampler == config.samplers()[0] and trial == 0:
                     # the coefficients in the H^alpha-orthonormal output basis
                     coefficients = estimate.coefficients * np.sqrt(weighting.weights)
                     name = spec.coeff_file.format(tag, weighting.alpha)
                     write_coefficients(coeffs_dir / name, coefficients, basis)
             del estimate, predicted  # spent too: free them before the next draw
-    write_csv(
-        out / "results.csv",
-        [*spec.lead_columns, *keys, "M", "cond_G", "gap", "test_error",
-         *spec.metric_columns, "config_hash", "stable"],
-        rows,
-    )
-    write_csv(
-        out / "gram.csv",
-        [*keys, "gap", "cond", "block_size", "stable", "config_hash"],
-        gram_rows,
-    )
-    write_csv(
-        out / "timings.csv",
-        [*spec.lead_columns, *keys, "M", "t_dataset", "t_assemble",
-         "t_gram", "t_solve", "t_test"],
-        timing_rows,
-    )
+    write_csv(out / "results.csv", rows)
+    write_csv(out / "gram.csv", gram_rows)
+    write_csv(out / "timings.csv", timing_rows)
     (out / "errors.json").write_text(
         json.dumps(error_records, indent=2) + "\n", encoding="utf-8"
     )
-    return rows
+    return len(rows)
 
 
 # --------------------------------------------------------------------------
 # experiments
 
 
-def relative_error(estimate, report, test) -> list:
-    return [_or_nan(report.relative)]
+def relative_error(estimate, report, test) -> dict:
+    return {"rel_test_error": _or_nan(report.relative)}
 
 
 def poisson_spec(config: ExperimentConfig) -> FitSpec:
@@ -719,7 +714,7 @@ def poisson_spec(config: ExperimentConfig) -> FitSpec:
         n_eff = int(value)
         basis = LinearRankOneBasis.from_measure(measure, np.arange(n_eff), d_out)
         m = min_samples(n_eff, config.delta, config.epsilon)
-        return n_eff, basis, m, [], measure_draw(measure, basis)
+        return n_eff, basis, m, {}, measure_draw(measure, basis)
 
     entries = [entry(value) for value in config.sweep]
 
@@ -727,21 +722,19 @@ def poisson_spec(config: ExperimentConfig) -> FitSpec:
         return FitSpec(
             d_out=d_out, entries=entries,
             truth=partial(build_dataset, operator="poisson2d", modes_2d=modes),
-            metric_columns=["rel_test_error"], metrics=relative_error,
-            coeff_file="poisson2d_neff{}.csv",
+            metrics=relative_error, coeff_file="poisson2d_neff{}.csv",
         )
     grid = np.linspace(0.0, 1.0, 101)
     exact = greens_kernel(grid[:, None], grid[None, :])
 
-    def sup_error(estimate, report, test) -> list:
+    def sup_error(estimate, report, test) -> dict:
         kernel = reconstruct_kernel(estimate, grid, grid)
-        return [float(np.max(np.abs(kernel - exact)))]
+        return {"kernel_sup_error": float(np.max(np.abs(kernel - exact)))}
 
     return FitSpec(
         d_out=d_out, entries=entries,
         truth=partial(build_dataset, operator="poisson1d"),
-        metric_columns=["kernel_sup_error"], metrics=sup_error,
-        coeff_file="kernel_neff{}.csv",
+        metrics=sup_error, coeff_file="kernel_neff{}.csv",
     )
 
 
@@ -755,20 +748,19 @@ def burgers_spec(config: ExperimentConfig) -> FitSpec:
         basis = PolyOperatorBasis.build(measure, indices, solver.d_out)
         n_eff = basis.n_eff
         m = math.ceil(n_eff * math.log(max(n_eff, 2)))
-        return k, basis, m, [k], measure_draw(measure, basis)
+        return k, basis, m, {"k": k}, measure_draw(measure, basis)
 
-    def metrics(estimate, report, test) -> list:
+    def metrics(estimate, report, test) -> dict:
         # the test set keeps all d_solve solver modes, so this is the output
         # energy that truncation to d_out discards
         lost = energy_fraction_lost(test.outputs, solver.d_out)
-        return [_or_nan(report.relative), lost]
+        return {"rel_test_error": _or_nan(report.relative),
+                "energy_fraction_lost": lost}
 
     return FitSpec(
         d_out=solver.d_out, entries=[entry(k) for k in config.sweep],
         truth=partial(build_dataset, operator="burgers", burgers_config=solver),
-        lead_columns=["k"], test_per_trial=False,
-        metric_columns=["rel_test_error", "energy_fraction_lost"],
-        metrics=metrics, coeff_file="burgers_k{}.csv",
+        test_per_trial=False, metrics=metrics, coeff_file="burgers_k{}.csv",
         solver_config=solver.as_dict(),
     )
 
@@ -825,7 +817,7 @@ def discrete_spec(config: ExperimentConfig) -> FitSpec:
             return cloud[idx], weights
 
         m = min_samples(plan.n_eff, config.delta, config.epsilon)
-        return k, basis, m, [k], draw
+        return k, basis, m, {"k": k}, draw
 
     output_modes = np.arange(1, d_out + 1)
     return FitSpec(
@@ -834,11 +826,11 @@ def discrete_spec(config: ExperimentConfig) -> FitSpec:
         test_cloud=cloud,
         weightings=[SobolevWeighting.for_modes(float(alpha), output_modes)
                     for alpha in config.sobolev_alphas],
-        lead_columns=["k"], test_per_trial=False,
-        metric_columns=["rel_test_error", "mean_of_ratios"],
-        metrics=lambda estimate, report, test: [
-            _or_nan(report.relative), _or_nan(report.mean_of_ratios)
-        ],
+        test_per_trial=False,
+        metrics=lambda estimate, report, test: {
+            "rel_test_error": _or_nan(report.relative),
+            "mean_of_ratios": _or_nan(report.mean_of_ratios),
+        },
         coeff_file="discrete_k{}_alpha{}.csv",
     )
 
@@ -871,13 +863,12 @@ def complexity_spec(config: ExperimentConfig) -> FitSpec:
         n_eff = int(value)
         indices = total_degree_prefix(len(measure), n_eff)
         basis = PolyOperatorBasis.build(measure, indices, d_out)
-        return n_eff, basis, 5 * n_eff, [], measure_draw(measure, basis)
+        return n_eff, basis, 5 * n_eff, {}, measure_draw(measure, basis)
 
     return FitSpec(
         d_out=d_out, entries=[entry(value) for value in config.sweep],
         truth=partial(demo_dataset, d_out),
-        metric_columns=["rel_test_error"], metrics=relative_error,
-        coeff_file="complexity_neff{}.csv",
+        metrics=relative_error, coeff_file="complexity_neff{}.csv",
     )
 
 
@@ -977,14 +968,14 @@ def run(config: ExperimentConfig) -> RunResult:
         spec = config.validate()
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rows = fit_sweep(config, out, spec)
+        results_rows = fit_sweep(config, out, spec)
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         manifest = {
             "config": asdict(config),
             "config_hash": config.content_hash(),
             "package_version": __version__,
             "created_at": datetime.now(timezone.utc).isoformat(),
-            "results_rows": len(rows),
+            "results_rows": results_rows,
             # timings depend on these; the last digits of results also depend
             # on the BLAS build, recorded as numpy reports it, on the kernel
             # OpenBLAS picked for this CPU, and on the thread count the run
@@ -1001,4 +992,4 @@ def run(config: ExperimentConfig) -> RunResult:
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    return RunResult(out_dir=out, results_rows=len(rows), manifest=manifest)
+    return RunResult(out_dir=out, results_rows=results_rows, manifest=manifest)

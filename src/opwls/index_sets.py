@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 MEMBERSHIP_SLACK = 1e-12
-DEFAULT_MAX_SIZE = 10**6
+MAX_SIZE = 10**6  # the hard limit on members
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class IndexSetSpec:
     gamma: np.ndarray
     degree_cap: int
     p: float = 1.0
-    max_size: int = DEFAULT_MAX_SIZE
 
     def __post_init__(self) -> None:
         gamma = np.asarray(self.gamma, dtype=float)
@@ -86,7 +85,7 @@ def generate(spec: IndexSetSpec) -> np.ndarray:
     """Enumerate all indices of ``spec`` in canonical order.
 
     Returns an ``(N, d)`` integer array.  Raises ``ValueError`` if the member
-    count would exceed ``spec.max_size``.
+    count would exceed :data:`MAX_SIZE`.
     """
     d = spec.dim
     bounds = _coordinate_bounds(spec)
@@ -110,9 +109,9 @@ def generate(spec: IndexSetSpec) -> np.ndarray:
 
     def descend(j: int, used: float) -> None:
         if j == d:
-            if len(members) >= spec.max_size:
+            if len(members) >= MAX_SIZE:
                 raise ValueError(
-                    f"index set exceeds the hard limit of {spec.max_size} members"
+                    f"index set exceeds the hard limit of {MAX_SIZE} members"
                 )
             members.append(tuple(current))
             return

@@ -202,7 +202,7 @@ def mixture_plan(basis) -> MixturePlan:
 
 
 def build_induced_tables(
-    measure: ProductMeasure, basis=None, order: int | None = None
+    measure: ProductMeasure, basis=None
 ) -> dict[int, InducedTable]:
     """Per-mode tables covering every (coordinate, degree) a basis samples.
 
@@ -217,7 +217,7 @@ def build_induced_tables(
     for j in range(len(measure)):
         degrees = np.unique(components[:, j])
         family = build_family(measure.marginals[j], max(int(degrees[-1]), 1))
-        tables[j] = build_induced_table(family, degrees, order)
+        tables[j] = build_induced_table(family, degrees)
     return tables
 
 

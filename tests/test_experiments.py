@@ -452,7 +452,7 @@ def test_coefficients_formatted_as_cells(tmp_path):
     basis = SimpleNamespace(n_eff=4)
     write_coefficients(tmp_path / "c.csv", coefficients, basis)
     header = [f"b{j}" for j in range(4)]
-    write_csv(tmp_path / "ref.csv", header, [list(col) for col in coefficients.T])
+    write_csv(tmp_path / "ref.csv", [dict(zip(header, col)) for col in coefficients.T])
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -817,6 +817,67 @@ def test_one_error_record_per_result_row(tmp_path, make):
         assert record["block_size"] == record["N_eff"]
         assert list(record["quantiles"]) == ["0.05", "0.5", "0.95"]
         assert "mean_of_ratios" in record
+
+
+# per experiment: the headers of results.csv, gram.csv and timings.csv, and
+# the keys of every errors.json record, each in file order
+ARTIFACT_COLUMNS = {
+    "poisson2d": (
+        "N_eff,sampling,trial,M,cond_G,gap,test_error,rel_test_error,"
+        "config_hash,stable",
+        "N_eff,sampling,trial,gap,cond,block_size,stable,config_hash",
+        "N_eff,sampling,trial,M,t_dataset,t_assemble,t_gram,t_solve,t_test",
+        "N_eff,sampling,trial,quantiles,mean_of_ratios,gap,cond,block_size",
+    ),
+    "poisson1d_kernel": (
+        "N_eff,sampling,trial,M,cond_G,gap,test_error,kernel_sup_error,"
+        "config_hash,stable",
+        "N_eff,sampling,trial,gap,cond,block_size,stable,config_hash",
+        "N_eff,sampling,trial,M,t_dataset,t_assemble,t_gram,t_solve,t_test",
+        "N_eff,sampling,trial,quantiles,mean_of_ratios,gap,cond,block_size",
+    ),
+    "burgers": (
+        "k,N_eff,sampling,trial,M,cond_G,gap,test_error,rel_test_error,"
+        "energy_fraction_lost,config_hash,stable",
+        "N_eff,sampling,trial,gap,cond,block_size,stable,config_hash",
+        "k,N_eff,sampling,trial,M,t_dataset,t_assemble,t_gram,t_solve,t_test",
+        "k,N_eff,sampling,trial,quantiles,mean_of_ratios,gap,cond,block_size",
+    ),
+    "discrete_demo": (
+        "k,N_eff,sampling,trial,alpha,M,cond_G,gap,test_error,rel_test_error,"
+        "mean_of_ratios,config_hash,stable",
+        "N_eff,sampling,trial,alpha,gap,cond,block_size,stable,config_hash",
+        "k,N_eff,sampling,trial,alpha,M,t_dataset,t_assemble,t_gram,t_solve,"
+        "t_test",
+        "k,N_eff,sampling,trial,alpha,quantiles,mean_of_ratios,gap,cond,"
+        "block_size",
+    ),
+    "complexity_sweep": (
+        "N_eff,sampling,trial,M,cond_G,gap,test_error,rel_test_error,"
+        "config_hash,stable",
+        "N_eff,sampling,trial,gap,cond,block_size,stable,config_hash",
+        "N_eff,sampling,trial,M,t_dataset,t_assemble,t_gram,t_solve,t_test",
+        "N_eff,sampling,trial,quantiles,mean_of_ratios,gap,cond,block_size",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [tiny_poisson2d, tiny_kernel, tiny_burgers, tiny_discrete, tiny_complexity],
+    ids=["poisson2d", "poisson1d_kernel", "burgers", "discrete_demo",
+         "complexity_sweep"],
+)
+def test_artifact_columns(tmp_path, make):
+    config = make(tmp_path)
+    out = run(config).out_dir
+    results, gram, timings, record = ARTIFACT_COLUMNS[config.experiment]
+    for name, header in [("results.csv", results), ("gram.csv", gram),
+                         ("timings.csv", timings)]:
+        assert (out / name).read_text().splitlines()[0] == header, name
+    records = json.loads((out / "errors.json").read_text())
+    assert records
+    assert all(",".join(r) == record for r in records)
 
 
 class TestCli:

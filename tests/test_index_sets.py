@@ -109,10 +109,11 @@ class TestGenerate:
         assert np.all(weighted <= math.log(7.0) + 1e-12)
         assert is_monotone_lower(idx)
 
-    def test_hard_limit(self):
+    def test_hard_limit(self, monkeypatch):
+        monkeypatch.setattr("opwls.index_sets.MAX_SIZE", 10_000)
         spec = IndexSetSpec(
             kind="lp_ball", p=math.inf, radius=9.0, gamma=np.ones(7),
-            degree_cap=9, max_size=10_000,
+            degree_cap=9,
         )
         with pytest.raises(ValueError, match="hard limit"):
             generate(spec)
