@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args)
         result = run(config)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

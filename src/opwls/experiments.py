@@ -20,9 +20,9 @@ time of each fit's stages goes to ``timings.csv``.
 Runs are deterministic: every random draw is seeded by a hash of the master
 seed and the draw's role, so outputs are byte-identical across repeats and
 independent of execution order.  Trials execute sequentially; because each
-trial owns an independent substream, a worker pool would produce the same
-artifacts.  Timestamps and wall times appear only in the manifest and
-``timings.csv``.
+trial's draws are seeded by their own :func:`derive_seed` key, a worker pool
+would produce the same artifacts.  Timestamps and wall times appear only in
+the manifest and ``timings.csv``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cache, partial
 from itertools import product
-from numbers import Integral, Real
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -94,8 +93,9 @@ SAMPLERS = ("optimal", "monte_carlo")
 FLOAT_FMT = "%.15g"
 
 
-# JSON numbers arrive as int or float, config code may pass numpy scalars
-_NUMBER_KINDS = {int: Integral, float: Real}
+# the numbers JSON holds: an integer field takes an int, a real field either
+# (np.float64 is a float); other numpy scalars cannot be hashed as JSON
+REAL = (int, float)
 
 
 class ConfigError(ValueError):
@@ -105,11 +105,10 @@ class ConfigError(ValueError):
 def _non_finite(value) -> bool:
     # JSON's NaN and Infinity tokens parse as floats; an int is always finite,
     # and may be too large for math.isfinite
-    return (isinstance(value, Real) and not isinstance(value, Integral)
-            and not math.isfinite(value))
+    return isinstance(value, float) and not math.isfinite(value)
 
 
-def check_numbers(name: str, values, kind=Real) -> None:
+def check_numbers(name: str, values, kind=REAL) -> None:
     """Raise :class:`ConfigError` unless ``values`` is a non-empty list of
     finite numbers of ``kind``."""
     if not isinstance(values, list) or not values or any(
@@ -124,9 +123,9 @@ def check_fields(obj, prefix: str = "") -> None:
     """Raise :class:`ConfigError` unless each field of ``obj`` fits its
     annotation; a number must be finite."""
     for name, hint in get_type_hints(type(obj)).items():
-        kinds = tuple(_NUMBER_KINDS.get(k, k) for k in get_args(hint) or (hint,))
+        kinds = tuple(REAL if k is float else k for k in get_args(hint) or (hint,))
         value = getattr(obj, name)
-        # bool is an Integral, but true/false is never a number
+        # bool is an int, but true/false is never a number
         if not isinstance(value, kinds) or (
             isinstance(value, bool) and bool not in kinds
         ):
@@ -202,7 +201,8 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             return cls(**json.loads(text))
-        except TypeError as exc:  # not an object, an unknown field, a missing one
+        # not JSON (a JSONDecodeError), not an object, an unknown or missing field
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:
@@ -256,7 +256,7 @@ class ExperimentConfig:
         if not 0.0 < self.energy_target <= 1.0:
             raise ConfigError("energy_target must lie in (0, 1]")
         # N_eff sweeps count modes; radius sweeps may be fractional
-        kind = Real if self.experiment in ("burgers", "discrete_demo") else Integral
+        kind = REAL if self.experiment in ("burgers", "discrete_demo") else int
         check_numbers("sweep", self.sweep, kind)
         if min(self.sweep) <= 0:
             raise ConfigError(f"sweep entries must be positive: {self.sweep!r}")
@@ -487,20 +487,21 @@ def cached_dataset(
     key hashes the config as written, where a ``null`` solver setting stands
     for a default that may change; nor one whose sidecar records another
     ``dataset_revision`` than :data:`~opwls.pde.DATASET_REVISION`, the code
-    that draws and solves today.  Such a dataset is made again and, if
-    ``write``, overwritten.
+    that draws and solves today; nor one whose sidecar a killed run cut
+    short.  Such a dataset is made again and, if ``write``, overwritten.
     """
     arrays, sidecar = directory / f"{key}.arrays", directory / f"{key}.json"
-    if arrays.exists() and sidecar.exists():
+    try:
         provenance = json.loads(sidecar.read_text(encoding="utf-8"))
-        if (provenance.get("dataset_revision") == DATASET_REVISION
-                and provenance.get("solver_config") == solver_config):
-            # on a real file numpy reads each record with one np.fromfile
-            with arrays.open("rb") as f:
-                inputs, weights, outputs = (np.lib.format.read_array(f)
-                                            for _ in range(3))
-            return DataSet(inputs=inputs, weights=weights, outputs=outputs,
-                           provenance=provenance)
+    except (FileNotFoundError, ValueError):  # no sidecar, or one cut short
+        provenance = {}
+    if (arrays.exists() and provenance.get("dataset_revision") == DATASET_REVISION
+            and provenance.get("solver_config") == solver_config):
+        # on a real file numpy reads each record with one np.fromfile
+        with arrays.open("rb") as f:
+            inputs, weights, outputs = (np.lib.format.read_array(f) for _ in range(3))
+        return DataSet(inputs=inputs, weights=weights, outputs=outputs,
+                       provenance=provenance)
     ds = truth(*draw(), **truth_kwargs)
     if write:
         directory.mkdir(parents=True, exist_ok=True)
@@ -572,20 +573,20 @@ class FitSpec:
     ``entries`` holds one built ``(tag, basis, M, lead, draw)`` per sweep
     value: ``tag`` enters the seeds and the coefficient file name, ``lead``
     is a dict of the columns that open each of its rows, and
-    ``draw(sampler, rng, size)`` gives inputs and weights.
-    ``truth(inputs, weights, d_out=, seed=, sampler=)`` gives the
-    :class:`DataSet`; if it runs a solver, ``solver_config`` is the resolved
-    configuration its provenance records.  Test sets,
-    ``monte_carlo`` draws of ``n_test``, or the whole ``test_cloud`` (sampler
-    ``cloud``) if one is given, keep every output column and are seeded per
-    (tag, trial) if ``test_per_trial``, else per tag.  Each draw is fitted
+    ``draw(sampler, rng, size)`` gives inputs and weights; ``basis.d_out``
+    output modes are fitted.  ``truth(inputs, weights, d_out=, seed=,
+    sampler=)`` gives the :class:`DataSet`; if it runs a solver,
+    ``solver_config`` is the resolved configuration its provenance records.
+    Test sets, ``monte_carlo`` draws of ``n_test``, or the whole
+    ``test_cloud`` (sampler ``cloud``) if one is given, keep every output
+    column and are seeded per (tag, trial) if ``test_per_trial``, else per
+    tag.  Each draw is fitted
     once, scored once per :class:`SobolevWeighting` in ``weightings``, or
     once, unweighted and with no ``alpha`` column, if ``None``.
     ``metrics(estimate, report, test)`` gives the dict of columns that
     follow ``test_error`` in ``results.csv``.
     """
 
-    d_out: int
     entries: list
     truth: Callable[..., DataSet]
     metrics: Callable[..., dict]
@@ -609,7 +610,6 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> int:
     cfg_hash = config.content_hash()
     coeffs_dir = out / "coeffs"
     coeffs_dir.mkdir(parents=True, exist_ok=True)
-    weightings = spec.weightings or [SobolevWeighting.flat(spec.d_out)]
     rows, gram_rows, timing_rows, error_records = [], [], [], []
 
     def dataset(draw, sampler: str, seed: int, size: int, d_out) -> DataSet:
@@ -623,6 +623,7 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> int:
         return spec.test_cloud, np.ones(size)
 
     for tag, basis, m, lead, draw in spec.entries:
+        weightings = spec.weightings or [SobolevWeighting.flat(basis.d_out)]
 
         @cache
         def test_set(seed: int) -> DataSet:
@@ -633,7 +634,7 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> int:
         for sampler, trial in product(config.samplers(), range(config.trials)):
             seed = derive_seed(config.seed, "train", tag, sampler, trial)
             t0 = time.perf_counter()
-            ds = dataset(draw, sampler, seed, m, spec.d_out)
+            ds = dataset(draw, sampler, seed, m, basis.d_out)
             t_dataset = time.perf_counter() - t0
             estimate, summary, t_fit = fit_once(
                 basis, ds.inputs, ds.weights, ds.outputs
@@ -646,11 +647,13 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> int:
             predicted = estimate.predict(test.inputs)
             t_predict = time.perf_counter() - t0
             stable = summary.stable(config.delta)
+            gram = {"gap": summary.spectral_gap, "cond": summary.condition,
+                    "block_size": summary.block_size}
             # the draw's times go to the first alpha scored on it
             for weighting in weightings:
                 t0 = time.perf_counter()
                 report = empirical_bochner_error(
-                    test.outputs[:, : spec.d_out], predicted, weighting
+                    test.outputs[:, : basis.d_out], predicted, weighting
                 )
                 metrics = spec.metrics(estimate, report, test)
                 t_test = t_predict + time.perf_counter() - t0
@@ -662,19 +665,13 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> int:
                     "gap": summary.spectral_gap, "test_error": report.absolute,
                     **metrics, "config_hash": cfg_hash, "stable": stable,
                 })
-                gram_rows.append({
-                    **key, "gap": summary.spectral_gap, "cond": summary.condition,
-                    "block_size": summary.block_size, "stable": stable,
-                    "config_hash": cfg_hash,
-                })
+                gram_rows.append({**key, **gram, "stable": stable,
+                                  "config_hash": cfg_hash})
                 timing_rows.append({**lead, **key, "M": m, **times, "t_test": t_test})
                 error_records.append({
                     **lead, **key,
                     "quantiles": {str(q): v for q, v in report.quantiles.items()},
-                    "mean_of_ratios": report.mean_of_ratios,
-                    "gap": summary.spectral_gap,
-                    "cond": summary.condition,
-                    "block_size": summary.block_size,
+                    "mean_of_ratios": report.mean_of_ratios, **gram,
                 })
                 times, t_predict = dict.fromkeys(times, 0.0), 0.0
                 if sampler == config.samplers()[0] and trial == 0:
@@ -720,7 +717,7 @@ def poisson_spec(config: ExperimentConfig) -> FitSpec:
 
     if config.experiment == "poisson2d":
         return FitSpec(
-            d_out=d_out, entries=entries,
+            entries=entries,
             truth=partial(build_dataset, operator="poisson2d", modes_2d=modes),
             metrics=relative_error, coeff_file="poisson2d_neff{}.csv",
         )
@@ -732,7 +729,7 @@ def poisson_spec(config: ExperimentConfig) -> FitSpec:
         return {"kernel_sup_error": float(np.max(np.abs(kernel - exact)))}
 
     return FitSpec(
-        d_out=d_out, entries=entries,
+        entries=entries,
         truth=partial(build_dataset, operator="poisson1d"),
         metrics=sup_error, coeff_file="kernel_neff{}.csv",
     )
@@ -758,7 +755,7 @@ def burgers_spec(config: ExperimentConfig) -> FitSpec:
                 "energy_fraction_lost": lost}
 
     return FitSpec(
-        d_out=solver.d_out, entries=[entry(k) for k in config.sweep],
+        entries=[entry(k) for k in config.sweep],
         truth=partial(build_dataset, operator="burgers", burgers_config=solver),
         test_per_trial=False, metrics=metrics, coeff_file="burgers_k{}.csv",
         solver_config=solver.as_dict(),
@@ -821,7 +818,7 @@ def discrete_spec(config: ExperimentConfig) -> FitSpec:
 
     output_modes = np.arange(1, d_out + 1)
     return FitSpec(
-        d_out=d_out, entries=[entry(k) for k in config.sweep],
+        entries=[entry(k) for k in config.sweep],
         truth=partial(demo_dataset, d_out),
         test_cloud=cloud,
         weightings=[SobolevWeighting.for_modes(float(alpha), output_modes)
@@ -866,7 +863,7 @@ def complexity_spec(config: ExperimentConfig) -> FitSpec:
         return n_eff, basis, 5 * n_eff, {}, measure_draw(measure, basis)
 
     return FitSpec(
-        d_out=d_out, entries=[entry(value) for value in config.sweep],
+        entries=[entry(value) for value in config.sweep],
         truth=partial(demo_dataset, d_out),
         metrics=relative_error, coeff_file="complexity_neff{}.csv",
     )

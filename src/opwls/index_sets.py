@@ -70,39 +70,31 @@ class IndexSetSpec:
         return int(self.gamma.size)
 
 
-def _coordinate_bounds(spec: IndexSetSpec) -> np.ndarray:
-    """Largest admissible entry per coordinate, after the degree cap."""
-    if spec.kind == "hyperbolic_cross":
-        budget = math.log(spec.radius + 1.0) + MEMBERSHIP_SLACK
-        raw = np.expm1(budget / spec.gamma)
-    else:
-        raw = (spec.radius + MEMBERSHIP_SLACK) / spec.gamma
-    bounds = np.floor(raw + MEMBERSHIP_SLACK).astype(int)
-    return np.minimum(bounds, spec.degree_cap)
-
-
 def generate(spec: IndexSetSpec) -> np.ndarray:
     """Enumerate all indices of ``spec`` in canonical order.
 
     Returns an ``(N, d)`` integer array.  Raises ``ValueError`` if the member
     count would exceed :data:`MAX_SIZE`.
     """
-    d = spec.dim
-    bounds = _coordinate_bounds(spec)
+    d, gamma = spec.dim, spec.gamma
+    # a member's entry costs sum to at most the budget; each coordinate's
+    # largest admissible entry, after the degree cap, bounds its costs
     hc = spec.kind == "hyperbolic_cross"
-    p_inf = spec.kind == "lp_ball" and math.isinf(spec.p)
-
     if hc:
         budget = math.log(spec.radius + 1.0) + MEMBERSHIP_SLACK
-        costs = [spec.gamma[j] * np.log1p(np.arange(bounds[j] + 1)) for j in range(d)]
-    elif p_inf:
-        budget = math.inf  # per-coordinate bounds already encode membership
-        costs = [np.zeros(bounds[j] + 1) for j in range(d)]
+        raw = np.expm1(budget / gamma)
+    else:
+        raw = (spec.radius + MEMBERSHIP_SLACK) / gamma
+    bounds = np.minimum(np.floor(raw + MEMBERSHIP_SLACK).astype(int), spec.degree_cap)
+    entries = [np.arange(bound + 1) for bound in bounds]
+    if hc:
+        costs = [g * np.log1p(lam) for g, lam in zip(gamma, entries)]
+    elif math.isinf(spec.p):
+        budget = math.inf  # the bounds alone encode membership
+        costs = [np.zeros(lam.size) for lam in entries]
     else:
         budget = (spec.radius + MEMBERSHIP_SLACK) ** spec.p
-        costs = [
-            (spec.gamma[j] * np.arange(bounds[j] + 1)) ** spec.p for j in range(d)
-        ]
+        costs = [(g * lam) ** spec.p for g, lam in zip(gamma, entries)]
 
     members: list[tuple[int, ...]] = []
     current = [0] * d
@@ -115,9 +107,8 @@ def generate(spec: IndexSetSpec) -> np.ndarray:
                 )
             members.append(tuple(current))
             return
-        cost_j = costs[j]
-        for lam in range(bounds[j] + 1):
-            spent = used + cost_j[lam]
+        for lam, cost in enumerate(costs[j]):
+            spent = used + cost
             if spent > budget:
                 break
             current[j] = lam

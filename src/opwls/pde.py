@@ -13,8 +13,9 @@ so the projection equals the Galerkin flux up to roundoff once
 pure functions of (input coefficients, configuration).
 
 :func:`build_dataset` runs Burgers solves on every core available to the
-process, one contiguous block of rows per thread.  Rows are independent, so
-the outputs do not depend on the number of cores.
+process: it splits the rows once into one contiguous block per core for every
+1,024 rows, and threads solve the blocks.  Rows are independent, so the
+outputs do not depend on the number of cores or on the split.
 
 Conventions: the 1-D basis is ``sqrt(2) sin(n pi x)`` on (0, 1) and the 2-D
 basis ``2 sin(n1 pi x1) sin(n2 pi x2)`` on the unit square, both orthonormal
@@ -324,17 +325,14 @@ def solver_threads() -> int:
 
 
 def _burgers_fan_out(samples: np.ndarray, config: BurgersConfig) -> np.ndarray:
-    # each _BATCH_CHUNK chunk is split into one contiguous row block per
-    # core; numpy's FFTs and ufuncs release the GIL, so threads run the blocks
-    # in parallel, without pickling and without worker processes' memory
-    cores = solver_threads()
-    blocks = []
+    # one contiguous row block per core for every _BATCH_CHUNK rows, never an
+    # empty one but for zero rows; numpy's FFTs and ufuncs release the GIL, so
+    # threads run the blocks in parallel, without pickling or worker processes
+    rows, cores = samples.shape[0], solver_threads()
+    count = max(1, min(rows, cores * math.ceil(rows / _BATCH_CHUNK)))
     with ThreadPoolExecutor(max_workers=cores) as pool:
-        for i in range(0, samples.shape[0], _BATCH_CHUNK):
-            chunk = samples[i : i + _BATCH_CHUNK]
-            split = np.array_split(chunk, min(cores, chunk.shape[0]))
-            blocks.extend(pool.map(burgers_evolve, split, repeat(config)))
-    return np.vstack(blocks)
+        return np.vstack(list(pool.map(
+            burgers_evolve, np.array_split(samples, count), repeat(config))))
 
 
 @dataclass(frozen=True)
@@ -350,11 +348,6 @@ class DataSet:
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if inputs.shape[0] == 0:
-            # an empty (0, w) block keeps its width; atleast_2d of an empty
-            # vector gives (1, 0), which becomes (0, 0)
-            width = outputs.shape[-1] if outputs.shape[0] == 0 else 0
-            outputs = outputs.reshape(0, width)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "weights", weights)
@@ -402,10 +395,7 @@ def build_dataset(
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
-    if samples.shape[0] == 0:
-        width = d_out if d_out is not None else samples.shape[1]
-        outputs = np.zeros((0, width))
-    elif operator == "poisson1d":
+    if operator == "poisson1d":
         outputs = poisson_apply_1d(samples)
     elif operator == "poisson2d":
         if modes_2d is None:
@@ -417,7 +407,7 @@ def build_dataset(
         outputs = _burgers_fan_out(samples, burgers_config)
     else:
         raise ValueError(f"unknown operator {operator!r}")
-    if d_out is not None and samples.shape[0] > 0:
+    if d_out is not None:
         outputs = outputs[:, :d_out]
     provenance = {
         "operator": operator,

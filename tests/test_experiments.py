@@ -672,6 +672,54 @@ def test_cut_short_rewrite_never_read(tmp_path, monkeypatch):
     assert stable_artifacts(result.out_dir) == first
 
 
+def test_cut_short_sidecar_never_read(tmp_path):
+    # a run killed while writing a sidecar leaves it cut short beside whole
+    # arrays; the dataset is made again and both files are overwritten
+    config = tiny_poisson2d(tmp_path, trials=1)
+    result = run(config)
+    first, cached = stable_artifacts(result.out_dir), dataset_files(result.out_dir)
+    sidecar = sorted((result.out_dir / "dataset").glob("*.json"))[0]
+    whole = sidecar.read_bytes()
+    sidecar.write_bytes(whole[: len(whole) // 2])
+    arrays = sidecar.with_suffix(".arrays")
+    write_arrays(arrays, {k: v + 1.0 for k, v in read_arrays(arrays).items()})
+    run(config)
+    assert stable_artifacts(result.out_dir) == first
+    assert dataset_files(result.out_dir) == cached
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"seed": np.int64(5)}, "seed"),
+        ({"trials": np.int32(1)}, "trials"),
+        ({"delta": np.float32(0.5)}, "delta"),
+        ({"sweep": [np.int64(4)]}, "sweep"),
+        ({"sobolev_alphas": [np.float32(0.0)]}, "sobolev_alphas"),
+        ({"measure": {"alpha_rule": "l1_cubed", "max_mode": np.int64(4)}},
+         "measure.max_mode"),
+    ],
+    ids=["seed_int64", "trials_int32", "delta_float32", "sweep_int64",
+         "sobolev_alphas_float32", "max_mode_int64"],
+)
+def test_numbers_json_cannot_hold_rejected(tmp_path, overrides, field):
+    # an integer field takes an int and a real field an int or a float, the
+    # numbers JSON holds; any other is named before anything is written
+    config = tiny_poisson2d(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=field):
+        config.validate()
+    with pytest.raises(ConfigError, match=field):
+        run(config)
+    assert not Path(config.out_dir).exists()
+
+
+def test_float64_is_a_float(tmp_path):
+    # np.float64 subclasses float, so it passes as one and hashes as one
+    config = tiny_poisson2d(tmp_path, delta=np.float64(0.5), sweep=[4])
+    config.validate()
+    assert config.content_hash() == tiny_poisson2d(tmp_path, sweep=[4]).content_hash()
+
+
 def test_npz_from_earlier_code_never_read(tmp_path):
     # earlier code cached <key>.npz; beside a matching sidecar it is ignored,
     # and the run makes <key>.arrays as a cold run does
@@ -1004,12 +1052,15 @@ class TestCli:
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory", "truncated"])
     def test_unreadable_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                           kind):
         path = tmp_path / "config.json"
         if kind == "directory":
             path.mkdir()
+        elif kind == "truncated":
+            text = tiny_poisson2d(tmp_path).to_json()
+            path.write_text(text[: len(text) // 2])
         else:
             path.write_bytes(b'{"experiment": "\xff"}')
         never = tmp_path / "never"
@@ -1017,6 +1068,20 @@ class TestCli:
         assert not never.exists()
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
+
+    def test_json_decode_error_at_run_time_exits_1(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # only a validation failure exits 2
+        def fail(config):
+            raise json.JSONDecodeError("unreadable", "{", 1)
+
+        monkeypatch.setattr("opwls.cli.run", fail)
+        config = tiny_poisson2d(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json())
+        assert main(["run", str(path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "JSONDecodeError"
 
     def test_mistyped_section_key_is_named(self, tmp_path, capsys):
         assert_rejected_without_files(tmp_path, {**BURGERS, "solver": {"dt": "1e-4"}})

@@ -495,6 +495,35 @@ class TestBurgersFanOut:
                            burgers_config=cfg, d_out=3)
         assert ds.outputs.shape == (0, 3)
 
+    def test_zero_rows_keep_every_solver_mode(self):
+        # zero rows take the path any row count takes: all d_solve modes
+        cfg = small_burgers()
+        ds = build_dataset(np.zeros((0, 3)), np.zeros(0), "burgers",
+                           burgers_config=cfg)
+        assert ds.outputs.shape == (0, cfg.d_solve)
+
+    @pytest.mark.parametrize("rows", [1, 3, 11])
+    @pytest.mark.parametrize("chunk", [pde._BATCH_CHUNK, 4],
+                             ids=["chunk_default", "chunk_4"])
+    def test_one_block_per_core_per_chunk(self, monkeypatch, rows, chunk):
+        # the rows are split once, into one block per core for every chunk of
+        # rows, and no block is empty
+        monkeypatch.setattr(pde, "_BATCH_CHUNK", chunk)
+        monkeypatch.setattr(pde, "solver_threads", lambda: 3)
+        blocks = []
+
+        def evolve(u0hat, config):
+            blocks.append(u0hat.shape[0])
+            return burgers_evolve(u0hat, config)
+
+        monkeypatch.setattr(pde, "burgers_evolve", evolve)
+        cfg = small_burgers()
+        x = np.random.default_rng(rows).uniform(-0.5, 0.5, (rows, 3))
+        ds = build_dataset(x, np.ones(rows), "burgers", burgers_config=cfg)
+        assert len(blocks) == min(rows, 3 * math.ceil(rows / chunk))
+        assert min(blocks) > 0 and sum(blocks) == rows
+        assert np.array_equal(ds.outputs, self.row_by_row(x, cfg))
+
     def test_rows_crossing_chunk_boundary(self, monkeypatch):
         monkeypatch.setattr(pde, "_BATCH_CHUNK", 4)
         monkeypatch.setattr(pde, "solver_threads", lambda: 3)
