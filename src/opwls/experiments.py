@@ -28,7 +28,6 @@ the manifest and ``timings.csv``.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import json
 import math
 import platform
@@ -216,8 +215,7 @@ class ExperimentConfig:
             for k, v in asdict(self).items()
             if k not in ("out_dir", "write_datasets")
         }
-        text = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(text).hexdigest()[:16]
+        return content_hash(payload)[:16]
 
     def section(self, name: str):
         """Section ``name`` as its :data:`SECTIONS` class, defaults filled in."""
@@ -353,8 +351,7 @@ PRESETS: dict[str, dict] = {
 
 
 def derive_seed(master: int, *tags) -> int:
-    text = json.dumps([master, *tags], sort_keys=True, default=str)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
+    return int(content_hash([master, *tags])[:16], 16) >> 1
 
 
 def select_d_in(variances: np.ndarray, fraction: float) -> int:
@@ -468,8 +465,7 @@ def write_coefficients(path: Path, coefficients: np.ndarray, basis) -> None:
 
 
 def dataset_key(cfg_hash: str, sampler: str, seed: int, m: int) -> str:
-    text = json.dumps([cfg_hash, sampler, seed, m])
-    return hashlib.sha256(text.encode()).hexdigest()[:20]
+    return content_hash([cfg_hash, sampler, seed, m])[:20]
 
 
 def cached_dataset(
@@ -604,12 +600,17 @@ def fit_sweep(config: ExperimentConfig, out: Path, spec: FitSpec) -> int:
     (:mod:`opwls.evaluation`).  Every training and test set goes through
     :func:`cached_dataset`.  Writes one row per score to ``results.csv``,
     ``gram.csv`` and ``timings.csv``, one record per score to ``errors.json``,
-    and the coefficients of trial 0 of the first sampler to ``coeffs/``.
-    Returns the number of rows.
+    and the coefficients of trial 0 of the first sampler to ``coeffs/``,
+    which the run owns.  Returns the number of rows.
     """
     cfg_hash = config.content_hash()
     coeffs_dir = out / "coeffs"
     coeffs_dir.mkdir(parents=True, exist_ok=True)
+    # drop the coeffs/ files of an earlier run that this run will not rewrite
+    alphas = [w.alpha for w in spec.weightings or ()] or [0.0]
+    names = {spec.coeff_file.format(tag, a) for tag, *_ in spec.entries for a in alphas}
+    for stale in set(coeffs_dir.glob("*.csv")) - {coeffs_dir / n for n in names}:
+        stale.unlink()
     rows, gram_rows, timing_rows, error_records = [], [], [], []
 
     def dataset(draw, sampler: str, seed: int, size: int, d_out) -> DataSet:

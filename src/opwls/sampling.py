@@ -14,10 +14,11 @@ Each univariate marginal (base or induced) is replaced by the discrete
 measure of a Q-point Gauss rule: the induced law of degree ``n`` puts mass
 ``w_q * p_n(x_q)^2`` at node ``x_q``, which sums to one by quadrature
 exactness whenever ``2n <= 2Q - 1``.  Inverse-transform sampling then reduces
-to a binary search of cumulative columns.  The rank-one linear family is the
-degree-1 case of the polynomial one: the orthonormal degree-1 polynomial of a
-centered marginal is exactly ``x / sigma``, so both families share one draw
-path.
+to a left binary search of cumulative columns.  The rank-one linear family is
+the degree-1 case of the polynomial one: the orthonormal degree-1 polynomial
+of a centered marginal is exactly ``x / sigma``.  The base measure is the
+mixture whose one component is all zero, so Monte Carlo is the optimal draw
+under that plan: linear, polynomial and Monte Carlo draws share one path.
 
 Randomness is counter based (Philox).  Sample ``i`` of a batch owns a fixed
 block of uniforms that any worker can regenerate by advancing the counter,
@@ -28,7 +29,7 @@ distributed over workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from types import MethodType
 
 import numpy as np
@@ -136,15 +137,20 @@ def build_induced_table(
                 f"induced column for degree {n} sums to {total!r}; "
                 "increase the quadrature order"
             )
-        column = np.cumsum(masses / total)
-        column[-1] = 1.0
-        cdf[n] = column
+        cdf[n] = _cumulative(masses / total)
     return InducedTable(nodes=rule.nodes, cdf=cdf)
 
 
-def _invert(nodes: np.ndarray, cdf_column: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # smallest node index i with u <= F_i
-    return nodes[np.searchsorted(cdf_column, u, side="left")]
+def _cumulative(masses: np.ndarray) -> np.ndarray:
+    """Cumulative column of a discrete law, its last entry exactly 1."""
+    column = np.cumsum(masses)
+    column[-1] = 1.0
+    return column
+
+
+def _invert(column: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # smallest index i with u <= F_i
+    return np.searchsorted(column, u, side="left")
 
 
 def draw_induced(
@@ -158,7 +164,7 @@ def draw_induced(
         raise KeyError(f"table holds no induced law of degree {degree}")
     n = 1 if size is None else int(size)
     u = rng.uniform_block(n, 1)[:, 0]
-    values = _invert(table.nodes, table.cdf[degree], u)
+    values = table.nodes[_invert(table.cdf[degree], u)]
     return float(values[0]) if size is None else values
 
 
@@ -201,6 +207,12 @@ def mixture_plan(basis) -> MixturePlan:
     return MixturePlan(components, counts * basis.d_out / basis.n_total)
 
 
+@cache
+def _base_plan(d_in: int) -> MixturePlan:
+    """The base measure as a mixture: one all-zero component."""
+    return MixturePlan(np.zeros((1, d_in), dtype=int), np.ones(1))
+
+
 def build_induced_tables(
     measure: ProductMeasure, basis=None
 ) -> dict[int, InducedTable]:
@@ -210,31 +222,41 @@ def build_induced_tables(
     rule size is tied to the largest degree present, matching the rule used
     for feature evaluation.
     """
-    components = np.zeros((1, len(measure)), dtype=int)
-    if basis is not None:
-        components = mixture_plan(basis).components
+    plan = _base_plan(len(measure)) if basis is None else mixture_plan(basis)
     tables = {}
     for j in range(len(measure)):
-        degrees = np.unique(components[:, j])
+        degrees = np.unique(plan.components[:, j])
         family = build_family(measure.marginals[j], max(int(degrees[-1]), 1))
         tables[j] = build_induced_table(family, degrees)
     return tables
 
 
-def _draw_base(
-    tables: dict[int, InducedTable], rng: RngSeed, n_samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform block and base-measure draws of ``n_samples`` inputs.
+def _draw(
+    plan: MixturePlan, tables: dict[int, InducedTable], rng: RngSeed, n_samples: int
+) -> np.ndarray:
+    """Draw ``n_samples`` inputs from the mixture ``plan`` over ``tables``.
 
-    Row ``i`` of the block belongs to sample ``i``: column 0 is left for the
-    mixture component, column ``1 + j`` draws coordinate ``j``.
+    Sample ``i`` consumes row ``i`` of the uniform block: column 0 picks its
+    component, column ``1 + j`` draws coordinate ``j`` from its base column.
+    The samples whose component raises ``j`` to degree ``d`` are then redrawn
+    at once from the degree-``d`` column at the same uniforms, so the draw is
+    bitwise a row-by-row one.
     """
-    d_in = len(tables)
-    u = rng.uniform_block(n_samples, d_in + 1)
-    samples = np.empty((n_samples, d_in))
-    for j in range(d_in):
-        samples[:, j] = _invert(tables[j].nodes, tables[j].cdf[0], u[:, 1 + j])
-    return u, samples
+    u = rng.uniform_block(n_samples, len(tables) + 1)
+    samples = np.empty((n_samples, len(tables)))
+    for j, table in tables.items():
+        samples[:, j] = table.nodes[_invert(table.cdf[0], u[:, 1 + j])]
+    tops = plan.components.max(axis=0).tolist()
+    raised = [j for j, top in enumerate(tops) if top]
+    if raised:
+        component = _invert(_cumulative(plan.probabilities), u[:, 0])
+    for j in raised:
+        degree, table = plan.components[:, j][component], tables[j]
+        for d in range(1, tops[j] + 1):
+            rows = np.flatnonzero(degree == d)
+            if rows.size:
+                samples[rows, j] = table.nodes[_invert(table.cdf[d], u[rows, 1 + j])]
+    return samples
 
 
 def sample_optimal(
@@ -244,33 +266,11 @@ def sample_optimal(
     n_samples: int,
     basis,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n_samples`` inputs from the optimal measure, with weights.
-
-    Per sample: pick a mixture component, draw each coordinate from its
-    (base or induced) discretized law, and attach the optimal weight
-    ``w(f) = N_eff / sum phi(f)^2``.  Sample ``i`` consumes row ``i`` of the
-    uniform block: column 0 selects the component, column ``1 + j``
-    coordinate ``j``.  The draw groups rows by (coordinate, degree): the
-    samples whose component has degree ``d > 0`` at ``j`` are inverted at
-    once from the degree-``d`` column, at the uniforms a row-by-row draw
-    would use, so the samples are bitwise those of one.
-    """
-    u, samples = _draw_base(tables, rng, n_samples)
-    cum = np.cumsum(plan.probabilities)
-    cum[-1] = 1.0
-    component_idx = np.searchsorted(cum, u[:, 0], side="left")
-    for j in range(len(tables)):
-        column = plan.components[:, j]
-        degree = column[component_idx]
-        for d in range(1, int(column.max(initial=0)) + 1):
-            rows = np.flatnonzero(degree == d)
-            if rows.size:
-                samples[rows, j] = _invert(
-                    tables[j].nodes, tables[j].cdf[d], u[rows, 1 + j]
-                )
-    del u  # spent: free the (M, d_in + 1) block before the features are made
-    weights = np.atleast_1d(optimal_weight(basis, samples))
-    return samples, weights
+    """Draw ``n_samples`` inputs from the optimal measure of ``plan``, with the
+    optimal weights ``w(f) = N_eff / sum phi(f)^2``, made once the draw has
+    freed its uniform block."""
+    samples = _draw(plan, tables, rng, n_samples)
+    return samples, np.atleast_1d(optimal_weight(basis, samples))
 
 
 def sample_monte_carlo(
@@ -279,10 +279,10 @@ def sample_monte_carlo(
     n_samples: int,
     tables: dict[int, InducedTable] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """I.i.d. draws from the (discretized) base product measure, unit weights."""
+    """I.i.d. base draws, unit weights: the optimal draw of the all-zero plan."""
     if tables is None:
         tables = build_induced_tables(measure)
-    _, samples = _draw_base(tables, rng, n_samples)
+    samples = _draw(_base_plan(len(measure)), tables, rng, n_samples)
     return samples, np.ones(n_samples)
 
 
@@ -359,9 +359,7 @@ def sample_discrete(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Categorical leverage-score draws; returns point indices and weights."""
     u = rng.uniform_block(n_samples, 1)[:, 0]
-    cum = np.cumsum(plan.probabilities)
-    cum[-1] = 1.0
-    indices = np.searchsorted(cum, u, side="left")
+    indices = _invert(_cumulative(plan.probabilities), u)
     return indices, plan.weights[indices]
 
 

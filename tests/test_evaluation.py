@@ -24,7 +24,14 @@ from opwls.sampling import (
     sample_monte_carlo,
     sample_optimal,
 )
-from opwls.wls import OperatorEstimate, assemble, solve
+from opwls.wls import (
+    OperatorEstimate,
+    assemble,
+    condition_estimator,
+    gram_diagnostics,
+    min_samples,
+    solve,
+)
 
 
 def linear_estimate(coefficients, d_in=None):
@@ -273,3 +280,52 @@ def test_discretized_measure_scores_like_the_continuous_one():
     (on_nodes, se_nodes), (continuous, se_continuous) = scores
     assert all(np.isin(discrete[:, j], tables[j].nodes).all() for j in range(d_in))
     assert abs(on_nodes - continuous) <= 4.0 * math.hypot(se_nodes, se_continuous)
+
+
+def test_optimal_sampling_error_near_the_best():
+    # Cohen and Migliorati (SMAI JCM 2017): under the optimal measure and
+    # weights, the expected squared error is at most (1 + eps(M)) times the
+    # best in the space plus a small term, with eps(M) -> 0 at the delta
+    # certificate's sample count; Monte Carlo has no such bound
+    d_in, d_out, trials = 8, 12, 20
+    measure = ProductMeasure.from_alphas(np.arange(1, d_in + 1, dtype=float) ** 2)
+    spec = IndexSetSpec(kind="hyperbolic_cross", radius=4.0, gamma=np.ones(d_in),
+                        degree_cap=10)
+    basis = PolyOperatorBasis.build(measure, generate(spec), d_out)
+    tables, plan = build_induced_tables(measure, basis), mixture_plan(basis)
+    test, _ = sample_monte_carlo(measure, RngSeed(1), 20_000, tables=tables)
+    truth = demo_target(test, d_out)
+
+    def fit(sampler: str, seed: int, m: int):
+        if sampler == "optimal":
+            x, w = sample_optimal(plan, tables, RngSeed(seed), m, basis)
+        else:
+            x, w = sample_monte_carlo(measure, RngSeed(seed), m, tables=tables)
+        system = assemble(basis, x, w, demo_target(x, d_out))
+        return solve(system, basis), gram_diagnostics(system)
+
+    def error(estimate) -> float:
+        return empirical_bochner_error(truth, estimate.predict(test)).absolute
+
+    # the best error the space allows, estimated by a 60 N_eff fit
+    best = error(fit("optimal", 2, 60 * basis.n_eff)[0])
+    n_log_n = math.ceil(basis.n_eff * math.log(basis.n_eff))
+    certified = min_samples(basis.n_eff, 0.5, 0.5)
+    assert (basis.n_eff, n_log_n, certified) == (61, 251, 2186)
+    mean_ratio = {}
+    for seed_base, sampler in ((100, "optimal"), (200, "monte_carlo")):
+        for m in (n_log_n, certified):
+            ratios = []
+            for trial in range(trials):
+                estimate, summary = fit(sampler, seed_base + trial, m)
+                ratios.append(error(estimate) / best)
+                conditioned = condition_estimator(estimate, summary, 0.5)
+                if m == n_log_n:  # below the certificate: every draw zeroed
+                    assert conditioned.conditioned_out
+                    assert not conditioned.coefficients.any()
+                elif sampler == "optimal":  # at it: every draw kept as fitted
+                    assert conditioned is estimate
+            mean_ratio[sampler, m] = float(np.mean(ratios))
+    assert mean_ratio["optimal", certified] <= 1.1
+    for m in (n_log_n, certified):
+        assert mean_ratio["monte_carlo", m] > mean_ratio["optimal", m]

@@ -29,9 +29,10 @@ from conftest import assert_within_se
 
 @dataclass(frozen=True)
 class FixedUniforms(RngSeed):
-    """Stub stream returning a constant, for boundary-case draws."""
+    """Stub stream returning a constant, or one constant row, for boundary-case
+    draws."""
 
-    value: float = 0.0
+    value: float | tuple = 0.0
     seed: int = 0
 
     def uniform_block(self, n_rows, row_width):
@@ -194,19 +195,26 @@ def weight_formula(basis, x):
 
 class TestSampleOptimal:
     @pytest.mark.parametrize(
-        ("make", "n"),
-        [(linear_reference_basis, 500), (poly_reference_basis, 500),
-         (criterion6_basis, 300)],
-        ids=["linear", "polynomial", "criterion6"],
+        ("make", "n", "monte_carlo"),
+        [(linear_reference_basis, 500, False), (poly_reference_basis, 500, False),
+         (criterion6_basis, 300, False), (criterion6_basis, 300, True)],
+        ids=["linear", "polynomial", "criterion6", "monte_carlo"],
     )
-    def test_matches_row_by_row_reference(self, make, n):
+    def test_matches_row_by_row_reference(self, make, n, monte_carlo):
         measure, basis = make()
         tables = build_induced_tables(measure, basis)
-        plan = mixture_plan(basis)
-        x, w = sample_optimal(plan, tables, RngSeed(53), n, basis)
+        if monte_carlo:
+            # the base measure is the mixture of one all-zero component
+            plan = MixturePlan(np.zeros((1, len(measure)), dtype=int), [1.0])
+            x, w = sample_monte_carlo(measure, RngSeed(53), n, tables=tables)
+            expected_weights = np.ones(n)
+        else:
+            plan = mixture_plan(basis)
+            x, w = sample_optimal(plan, tables, RngSeed(53), n, basis)
+            expected_weights = weight_formula(basis, x)
         reference = reference_sample_optimal(plan, tables, RngSeed(53), n)
         assert np.array_equal(x, reference)
-        assert np.array_equal(w, weight_formula(basis, x))
+        assert np.array_equal(w, expected_weights)
 
     @pytest.mark.parametrize(
         "make", [linear_reference_basis, poly_reference_basis],
@@ -353,6 +361,58 @@ class TestSampleMonteCarlo:
         x, _ = sample_monte_carlo(measure, RngSeed(43), n)
         products = x[:, 0] * x[:, 1]
         assert_within_se(products.mean(), 0.0, products.std() / math.sqrt(n))
+
+
+def strict_entry(column):
+    """An index ``k`` with ``column[k - 1] < column[k] < column[k + 1]``: at
+    ``u = column[k]`` a left search gives ``k``, a right one ``k + 1``."""
+    steps = np.diff(column)
+    return int(np.flatnonzero((steps[:-1] > 0) & (steps[1:] > 0))[0]) + 1
+
+
+class TestBoundaryDraws:
+    """u = 0 and u equal to a cumulative entry both give the left index."""
+
+    def test_monte_carlo(self):
+        measure = ProductMeasure.from_alphas([0.0, 1.0])
+        tables = build_induced_tables(measure)
+        k = strict_entry(tables[1].cdf[0])
+        # column 0 would pick a component; the base plan has one
+        rng = FixedUniforms(value=(0.5, 0.0, tables[1].cdf[0][k]))
+        x, _ = sample_monte_carlo(measure, rng, 3, tables=tables)
+        assert np.all(x == [tables[0].nodes[0], tables[1].nodes[k]])
+        x, _ = sample_monte_carlo(measure, FixedUniforms(), 3, tables=tables)
+        assert np.all(x == [tables[0].nodes[0], tables[1].nodes[0]])
+
+    def test_optimal(self):
+        measure = ProductMeasure.from_alphas([0.0, 1.0])
+        basis = PolyOperatorBasis.build(measure, np.array([[0, 0], [0, 1], [1, 0]]), 1)
+        tables = build_induced_tables(measure, basis)
+        plan = mixture_plan(basis)
+        assert plan.components.tolist() == [[0, 0], [0, 1], [1, 0]]
+        # at the end of component 1's share: component 1, which raises coordinate 1
+        ends = np.cumsum(plan.probabilities)
+        k = strict_entry(tables[1].cdf[1])
+        rng = FixedUniforms(value=(ends[1], 0.0, tables[1].cdf[1][k]))
+        x, _ = sample_optimal(plan, tables, rng, 3, basis)
+        assert np.all(x == [tables[0].nodes[0], tables[1].nodes[k]])
+        # at the end of component 0's share: component 0, the base columns
+        k = strict_entry(tables[1].cdf[0])
+        rng = FixedUniforms(value=(ends[0], 0.0, tables[1].cdf[0][k]))
+        x, _ = sample_optimal(plan, tables, rng, 3, basis)
+        assert np.all(x == [tables[0].nodes[0], tables[1].nodes[k]])
+        x, _ = sample_optimal(plan, tables, FixedUniforms(), 3, basis)
+        assert np.all(x == [tables[0].nodes[0], tables[1].nodes[0]])
+
+    def test_discrete(self):
+        cloud = np.linspace(-0.9, 0.9, 7)[:, None]
+        plan = build_discrete_plan(cloud, lambda p: np.hstack([np.ones_like(p), p]))
+        ends = np.cumsum(plan.probabilities)
+        for k in (0, 3, 5):
+            indices, _ = sample_discrete(plan, FixedUniforms(value=ends[k]), 2)
+            assert indices.tolist() == [k, k]
+        indices, _ = sample_discrete(plan, FixedUniforms(), 2)
+        assert indices.tolist() == [0, 0]
 
 
 class TestSubstreams:
