@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measures import fields_equal
 from .operator_basis import LinearRankOneBasis
 from .pde import sine_value_1d
 from .wls import OperatorEstimate
@@ -48,6 +49,8 @@ class SobolevWeighting:
 
     alpha: float
     weights: np.ndarray
+
+    __eq__ = fields_equal
 
     @classmethod
     def for_modes(cls, alpha: float, modes) -> "SobolevWeighting":

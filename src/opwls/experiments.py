@@ -782,8 +782,7 @@ def demo_target(points: np.ndarray, d_out: int) -> np.ndarray:
 
 def demo_dataset(width, samples, weights, *, d_out=None, **provenance) -> DataSet:
     """:func:`demo_target` as a ground truth of ``width`` outputs, cut to ``d_out``."""
-    provenance.update(operator="demo_target", input_hash=content_hash(samples),
-                      dataset_revision=DATASET_REVISION)
+    provenance.update(operator="demo_target", dataset_revision=DATASET_REVISION)
     return DataSet(samples, demo_target(samples, d_out or width), weights, provenance)
 
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import fields_equal
+
 __all__ = [
     "IndexSetSpec",
     "generate",
@@ -64,6 +66,8 @@ class IndexSetSpec:
             raise ValueError("degree_cap must be >= 0")
         if self.kind == "lp_ball" and not (self.p >= 1.0):
             raise ValueError("p must be >= 1 (or inf)")
+
+    __eq__ = fields_equal
 
     @property
     def dim(self) -> int:

@@ -14,17 +14,18 @@ normalized to unit mass.  The law is centered with second moment
   whose three-term recurrence is closed form in the exponent and computed
   when needed, never stored or fitted from moments,
 * :class:`QuadratureRule` / :func:`gauss_rule` -- Gaussian quadrature from the
-  symmetric tridiagonal recurrence matrix.
+  symmetric tridiagonal recurrence matrix, with the orthonormal values at its
+  nodes, from which ``sampling`` reads a marginal's induced laws.
 
-All objects are immutable after construction and safe to share across
-concurrent workers; a measure's memo of Gauss rules only ever gains rules
-that any worker would compute bit for bit alike.
+All objects are immutable after construction, compare by value and are safe
+to share across concurrent workers; a measure's memo of Gauss rules only ever
+gains rules that any worker would compute bit for bit alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,6 +44,15 @@ __all__ = [
 # Construction rejects exponents this close to the integrability boundary:
 # the recurrence becomes badly conditioned as alpha -> -1.
 _ALPHA_FLOOR = -0.999
+
+
+def fields_equal(a, b) -> bool:
+    """``__eq__`` of a dataclass that holds arrays, whose generated one would
+    ask an elementwise ``==`` for a truth value: fields by ``np.array_equal``."""
+    if type(b) is not type(a):
+        return NotImplemented
+    fields_of = (f.name for f in fields(a) if f.compare)
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in fields_of)
 
 
 @dataclass(frozen=True)
@@ -113,27 +123,6 @@ class ProductMeasure:
         return np.sqrt(self.variances)
 
 
-def _recurrence_offdiag(alpha: float, n: int) -> np.ndarray:
-    """Orthonormal recurrence coefficients ``b_1 .. b_n`` (``b[0]`` unused).
-
-    For the probability-normalized symmetric Jacobi measure the Jacobi matrix
-    has zero diagonal and off-diagonal entries ``b_m = sqrt(beta_m)`` with
-
-        beta_1 = 1 / (2 alpha + 3),
-        beta_m = m (m + 2 alpha) / ((2m + 2 alpha + 1)(2m + 2 alpha - 1)),  m >= 2.
-
-    ``beta_1`` is kept as a separate closed form: the general expression is
-    0/0 at ``m = 1`` when ``alpha = -1/2``.
-    """
-    b = np.zeros(n + 1)
-    if n >= 1:
-        b[1] = math.sqrt(1.0 / (2.0 * alpha + 3.0))
-    m, two_alpha = np.arange(2.0, n + 1), 2.0 * alpha
-    low, high = 2.0 * m + two_alpha - 1.0, 2.0 * m + two_alpha + 1.0
-    b[2:] = np.sqrt(m * (m + two_alpha) / (high * low))
-    return b
-
-
 @dataclass(frozen=True)
 class PolynomialFamily:
     """Orthonormal polynomials of a symmetric Jacobi marginal.
@@ -152,8 +141,24 @@ class PolynomialFamily:
     n_max: int
 
     def recurrence_offdiag(self, n: int) -> np.ndarray:
-        """Off-diagonal coefficients up to index ``n`` (closed form, any ``n``)."""
-        return _recurrence_offdiag(self.measure.alpha, n)
+        """Recurrence coefficients ``b_1 .. b_n`` (``b[0]`` unused), any ``n``.
+
+        The Jacobi matrix of the probability-normalized measure has zero
+        diagonal and off-diagonal entries ``b_m = sqrt(beta_m)`` with
+
+            beta_1 = 1 / (2 alpha + 3),
+            beta_m = m (m + 2 alpha) / ((2m + 2 alpha + 1)(2m + 2 alpha - 1)),  m >= 2.
+
+        ``beta_1`` is kept as a separate closed form: the general expression is
+        0/0 at ``m = 1`` when ``alpha = -1/2``.
+        """
+        b, two_alpha = np.zeros(n + 1), 2.0 * self.measure.alpha
+        if n >= 1:
+            b[1] = math.sqrt(1.0 / (two_alpha + 3.0))
+        m = np.arange(2.0, n + 1)
+        low, high = 2.0 * m + two_alpha - 1.0, 2.0 * m + two_alpha + 1.0
+        b[2:] = np.sqrt(m * (m + two_alpha) / (high * low))
+        return b
 
 
 def build_family(measure: UnivariateMeasure, n_max: int) -> PolynomialFamily:
@@ -195,11 +200,16 @@ def eval_poly(family: PolynomialFamily, n: int, x) -> np.ndarray | float:
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gaussian rule: ``sum_q w_q f(x_q)`` integrates ``f d rho`` exactly
-    for polynomials of degree <= 2 order - 1."""
+    for polynomials of degree <= 2 order - 1.  ``values[n, q]`` is
+    ``p_n(x_q)``, ``n < order``: one table per marginal holds every induced
+    law ``w_q p_n(x_q)^2`` of degree up to its top."""
 
     nodes: np.ndarray
     weights: np.ndarray
     order: int
+    values: np.ndarray = field(repr=False)
+
+    __eq__ = fields_equal
 
     def moment(self, r: int) -> float:
         return float(self.weights @ self.nodes**r)
@@ -215,10 +225,10 @@ def gauss_rule(family: PolynomialFamily, order: int) -> QuadratureRule:
 
     Nodes are the roots of ``p_order``, the eigenvalues of the symmetric
     tridiagonal Jacobi matrix (Golub and Welsch, 1969); the weight at node
-    ``x_q`` equals ``1 / sum_{j < order} p_j(x_q)^2``.  ``eigvalsh`` reads only
-    the lower band, and LAPACK's ``dsytrd`` leaves a tridiagonal matrix as it
-    is, so the eigenvalues come from the same ``dsterf`` iteration a
-    tridiagonal solver runs.
+    ``x_q`` equals ``1 / sum_{j < order} p_j(x_q)^2``, and the rule keeps the
+    values ``p_j(x_q)``.  ``eigvalsh`` reads only the lower band, and LAPACK's
+    ``dsytrd`` leaves a tridiagonal matrix as it is, so the eigenvalues come
+    from the same ``dsterf`` iteration a tridiagonal solver runs.
 
     The recurrence is closed form in the measure, so the rule depends only on
     the measure and the order: it is computed once per measure and order, and
@@ -236,11 +246,9 @@ def gauss_rule(family: PolynomialFamily, order: int) -> QuadratureRule:
             nodes = np.linalg.eigvalsh(jacobi, UPLO="L")
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
             raise RuntimeError("quadrature eigen-solve did not converge") from exc
-        table = poly_table(family, order - 1, nodes)
-        weights = 1.0 / np.sum(table * table, axis=0)
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        rule = rules.setdefault(
-            order, QuadratureRule(nodes=nodes, weights=weights, order=order)
-        )
+        values = poly_table(family, order - 1, nodes)
+        weights = 1.0 / np.sum(values * values, axis=0)
+        for array in (nodes, weights, values):
+            array.flags.writeable = False
+        rule = rules.setdefault(order, QuadratureRule(nodes, weights, order, values))
     return rule

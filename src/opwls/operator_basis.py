@@ -32,11 +32,17 @@ Every ``scalar_features`` returns a fresh array that the caller owns:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import PolynomialFamily, ProductMeasure, build_family, poly_table
+from .measures import (
+    PolynomialFamily,
+    ProductMeasure,
+    build_family,
+    fields_equal,
+    poly_table,
+)
 
 __all__ = [
     "LinearRankOneBasis",
@@ -51,22 +57,6 @@ __all__ = [
 # ms at this size, 10-12 ms at half or twice it, and 21 ms with all samples
 # in one block.
 _BLOCK_VALUES = 2**16
-
-
-def fields_equal(a, b) -> bool:
-    """Value equality of frozen dataclasses that hold arrays.
-
-    The generated ``__eq__`` compares ndarray fields by ``==``, which is
-    elementwise and has no truth value; here every compared field goes
-    through ``np.array_equal``.
-    """
-    if type(b) is not type(a):
-        return NotImplemented
-    return all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name))
-        for f in fields(a)
-        if f.compare
-    )
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ from numbers import Integral
 
 import numpy as np
 
+from .measures import fields_equal
+
 __all__ = [
     "BurgersConfig",
     "DataSet",
@@ -356,6 +358,8 @@ class DataSet:
         if np.any(weights <= 0.0):
             raise ValueError("weights must be strictly positive")
 
+    __eq__ = fields_equal
+
     @property
     def n_samples(self) -> int:
         return int(self.inputs.shape[0])
@@ -389,9 +393,10 @@ def build_dataset(
 
     ``operator`` is ``"poisson1d"``, ``"poisson2d"`` (needs ``modes_2d``), or
     ``"burgers"`` (needs ``burgers_config``).  Outputs are truncated to
-    ``d_out`` columns when given.  Provenance records the seed, sampler kind,
-    solver configuration, a content hash of the inputs and the
-    :data:`DATASET_REVISION`.
+    ``d_out`` columns when given.  Provenance records the operator, seed,
+    sampler kind, solver configuration and :data:`DATASET_REVISION`, the last
+    two being what a cached dataset is checked against; it holds no hash of
+    the inputs, which nothing read.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
@@ -414,7 +419,6 @@ def build_dataset(
         "sampler": sampler,
         "seed": seed,
         "solver_config": burgers_config.as_dict() if burgers_config else None,
-        "input_hash": content_hash(samples),
         "dataset_revision": DATASET_REVISION,
     }
     return DataSet(

@@ -13,12 +13,13 @@ inverse-CDF machinery:
 Each univariate marginal (base or induced) is replaced by the discrete
 measure of a Q-point Gauss rule: the induced law of degree ``n`` puts mass
 ``w_q * p_n(x_q)^2`` at node ``x_q``, which sums to one by quadrature
-exactness whenever ``2n <= 2Q - 1``.  Inverse-transform sampling then reduces
-to a left binary search of cumulative columns.  The rank-one linear family is
-the degree-1 case of the polynomial one: the orthonormal degree-1 polynomial
-of a centered marginal is exactly ``x / sigma``.  The base measure is the
-mixture whose one component is all zero, so Monte Carlo is the optimal draw
-under that plan: linear, polynomial and Monte Carlo draws share one path.
+exactness whenever ``2n <= 2Q - 1``.  The rule holds the values ``p_n(x_q)``,
+so one table per marginal holds every degree up to its top, one cumulative
+row each, and a draw is a left binary search of a row.  The rank-one linear
+family is the degree-1 case of the polynomial one: the orthonormal degree-1
+polynomial of a centered marginal is exactly ``x / sigma``.  The base measure
+is the mixture whose one component is all zero, so Monte Carlo is the optimal
+draw under that plan: linear, polynomial and Monte Carlo draws share one path.
 
 Randomness is counter based (Philox).  Sample ``i`` of a batch owns a fixed
 block of uniforms that any worker can regenerate by advancing the counter,
@@ -39,15 +40,10 @@ from .measures import (
     ProductMeasure,
     build_family,
     default_quadrature_order,
-    gauss_rule,
-    poly_table,
-)
-from .operator_basis import (
-    LinearRankOneBasis,
-    PolyOperatorBasis,
     fields_equal,
-    optimal_weight,
+    gauss_rule,
 )
+from .operator_basis import LinearRankOneBasis, PolyOperatorBasis, optimal_weight
 
 __all__ = [
     "RngSeed",
@@ -64,9 +60,6 @@ __all__ = [
     "build_discrete_plan",
     "sample_discrete",
 ]
-
-_COLUMN_SUM_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class RngSeed:
@@ -101,50 +94,48 @@ class RngSeed:
 class InducedTable:
     """Discretized base and induced laws of one input mode.
 
-    ``cdf[n]`` holds the cumulative masses of the degree-``n`` induced law
-    ``p_n^2 d rho`` over ``nodes``; degree 0 is the discretized base measure
-    itself.
+    One table holds every degree from 0 to its top: row ``n`` of ``cdf`` is
+    the cumulative column of the degree-``n`` induced law ``p_n^2 d rho``
+    over ``nodes``; degree 0 is the discretized base measure itself.
     """
 
     nodes: np.ndarray
-    cdf: dict[int, np.ndarray] = field(repr=False)
+    cdf: np.ndarray = field(repr=False)
+
+    __eq__ = fields_equal
 
 
 def build_induced_table(
     family: PolynomialFamily, degrees, order: int | None = None
 ) -> InducedTable:
-    """Tabulate the induced laws of ``degrees`` on a Gauss rule of ``order``.
+    """Tabulate the induced laws of degree 0 to ``max(degrees)`` on a Gauss
+    rule of ``order``, all at once from the rule's values ``p_n(x_q)``.
 
     Masses are ``w_q * p_n(x_q)^2``; each column must sum to one by
     quadrature exactness (requires ``order >= max(degrees) + 1``), and a
     deviation beyond ``1e-8`` signals an insufficient rule and raises.
-    Degree 0 is always included.
     """
-    wanted = sorted(set(int(n) for n in degrees) | {0})
-    top = wanted[-1]
+    top = max(0, *map(int, degrees))
     if order is None:
         order = default_quadrature_order(max(top, family.n_max))
     if order < top + 1:
         raise ValueError(f"order {order} too small for induced degree {top}")
     rule = gauss_rule(family, order)
-    table = poly_table(family, top, rule.nodes)
-    cdf: dict[int, np.ndarray] = {}
-    for n in wanted:
-        masses = rule.weights * np.square(table[n])
-        total = masses.sum()
-        if abs(total - 1.0) > _COLUMN_SUM_TOL:
-            raise ValueError(
-                f"induced column for degree {n} sums to {total!r}; "
-                "increase the quadrature order"
-            )
-        cdf[n] = _cumulative(masses / total)
-    return InducedTable(nodes=rule.nodes, cdf=cdf)
+    masses = rule.weights * np.square(rule.values[: top + 1])
+    totals = masses.sum(axis=1)
+    n = int(np.argmax(np.abs(totals - 1.0)))
+    if abs(totals[n] - 1.0) > 1e-8:
+        raise ValueError(
+            f"induced column for degree {n} sums to {totals[n]!r}; "
+            "increase the quadrature order"
+        )
+    return InducedTable(nodes=rule.nodes, cdf=_cumulative(masses / totals[:, None]))
 
 
 def _cumulative(masses: np.ndarray) -> np.ndarray:
-    """Cumulative column of a discrete law, its last entry exactly 1."""
-    column = np.cumsum(masses)
-    column[-1] = 1.0
+    """Cumulative columns of discrete laws on the last axis, each ending at 1."""
+    column = np.cumsum(masses, axis=-1)
+    column[..., -1] = 1.0
     return column
 
 
@@ -160,7 +151,7 @@ def draw_induced(
 
     Degree 0 draws from the discretized base measure.
     """
-    if degree not in table.cdf:
+    if not 0 <= degree < len(table.cdf):
         raise KeyError(f"table holds no induced law of degree {degree}")
     n = 1 if size is None else int(size)
     u = rng.uniform_block(n, 1)[:, 0]
@@ -216,19 +207,18 @@ def _base_plan(d_in: int) -> MixturePlan:
 def build_induced_tables(
     measure: ProductMeasure, basis=None
 ) -> dict[int, InducedTable]:
-    """Per-mode tables covering every (coordinate, degree) a basis samples.
+    """Per-mode tables up to the top degree a basis samples in each mode.
 
     Without a basis only the base (degree 0) columns are built.  The default
     rule size is tied to the largest degree present, matching the rule used
     for feature evaluation.
     """
     plan = _base_plan(len(measure)) if basis is None else mixture_plan(basis)
-    tables = {}
-    for j in range(len(measure)):
-        degrees = np.unique(plan.components[:, j])
-        family = build_family(measure.marginals[j], max(int(degrees[-1]), 1))
-        tables[j] = build_induced_table(family, degrees)
-    return tables
+    tops = plan.components.max(axis=0).tolist()
+    return {
+        j: build_induced_table(build_family(marginal, max(top, 1)), range(top + 1))
+        for j, (marginal, top) in enumerate(zip(measure.marginals, tops))
+    }
 
 
 def _draw(

@@ -31,6 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .measures import fields_equal
+
 __all__ = [
     "WlsSystem",
     "GramSummary",
@@ -92,6 +94,8 @@ class WlsSystem:
             raise ValueError("design and targets must share a positive row count")
         if not (np.all(np.isfinite(design)) and np.all(np.isfinite(targets))):
             raise ValueError("system entries must be finite")
+
+    __eq__ = fields_equal
 
     @property
     def n_eff(self) -> int:
@@ -174,6 +178,8 @@ class OperatorEstimate:
     basis: object
     rank: int
     conditioned_out: bool = False
+
+    __eq__ = fields_equal
 
     @property
     def d_out(self) -> int:

@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,3 +248,52 @@ class TestProductMeasure:
         for alpha in (0.0, 2.0):
             mass = np.trapezoid(UnivariateMeasure(alpha).density(t), t)
             assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def _value_types():
+    """Builders of the array-holding library types, each building afresh."""
+    from opwls.evaluation import SobolevWeighting
+    from opwls.index_sets import IndexSetSpec, generate
+    from opwls.operator_basis import PolyOperatorBasis
+    from opwls.pde import build_dataset
+    from opwls.sampling import RngSeed, build_induced_table, sample_monte_carlo
+    from opwls.wls import assemble, solve
+
+    def spec():
+        return IndexSetSpec(kind="hyperbolic_cross", radius=3.0,
+                            gamma=np.ones(3), degree_cap=4)
+
+    def dataset():
+        measure = ProductMeasure.from_alphas([1.0, 4.0, 9.0])
+        samples, weights = sample_monte_carlo(measure, RngSeed(3), 40)
+        return build_dataset(samples, weights, "poisson1d", seed=3, sampler="mc")
+
+    def system():
+        ds = dataset()
+        basis = PolyOperatorBasis.build(ProductMeasure.from_alphas([1.0, 4.0, 9.0]),
+                                        generate(spec()), d_out=3)
+        return assemble(basis, ds.inputs, ds.weights, ds.outputs), basis
+
+    return {
+        "IndexSetSpec": (spec, "gamma"),
+        "QuadratureRule": (
+            lambda: gauss_rule(build_family(UnivariateMeasure(0.5), 4), 6), "values"),
+        "InducedTable": (lambda: build_induced_table(
+            build_family(UnivariateMeasure(0.5), 3), range(4)), "cdf"),
+        "DataSet": (dataset, "outputs"),
+        "WlsSystem": (lambda: system()[0], "targets"),
+        "OperatorEstimate": (lambda: solve(*system()), "coefficients"),
+        "SobolevWeighting": (
+            lambda: SobolevWeighting.for_modes(1.0, np.arange(1, 6)), "weights"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_types()))
+def test_array_holders_compare_by_value(name):
+    build, field_name = _value_types()[name]
+    a, b = build(), build()
+    assert a is not b and getattr(a, field_name) is not getattr(b, field_name)
+    assert a == b
+    moved = np.array(getattr(a, field_name))
+    moved.flat[-1] += 1.0
+    assert a != replace(a, **{field_name: moved})

@@ -62,7 +62,8 @@ class TestInducedTable:
     def test_columns_end_at_one(self):
         fam = build_family(UnivariateMeasure(2.0), 6)
         table = build_induced_table(fam, range(7), order=16)
-        for n, column in table.cdf.items():
+        assert table.cdf.shape == (7, 16)
+        for column in table.cdf:
             assert column[-1] == 1.0
             assert np.all(np.diff(column) >= -1e-15)
 
