@@ -31,11 +31,9 @@ from .index_sets import (
     is_monotone_lower,
 )
 from .measures import (
-    PolynomialFamily,
     ProductMeasure,
     QuadratureRule,
     UnivariateMeasure,
-    build_family,
     eval_poly,
     gauss_rule,
 )
@@ -56,7 +54,6 @@ from .pde import (
 )
 from .sampling import (
     DiscretePlan,
-    InducedTable,
     MixturePlan,
     RngSeed,
     build_discrete_plan,

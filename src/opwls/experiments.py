@@ -28,6 +28,7 @@ the manifest and ``timings.csv``.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import json
 import math
 import platform
@@ -59,7 +60,6 @@ from .pde import (
     BurgersConfig,
     DataSet,
     build_dataset,
-    content_hash,
     greens_kernel,
     sine_modes_2d,
     solver_threads,
@@ -348,6 +348,13 @@ PRESETS: dict[str, dict] = {
 
 # --------------------------------------------------------------------------
 # deterministic sub-seeding and measure construction
+
+
+def content_hash(value) -> str:
+    """sha256 of a JSON value with sorted keys; ``str`` stands in for what
+    JSON cannot hold."""
+    text = json.dumps(value, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def derive_seed(master: int, *tags) -> int:

@@ -8,33 +8,36 @@ probability laws on [-1, 1],
 normalized to unit mass.  The law is centered with second moment
 1 / (2 alpha + 3).  This module provides:
 
-* :class:`UnivariateMeasure` -- one symmetric Jacobi marginal,
+* :class:`UnivariateMeasure` -- one symmetric Jacobi marginal with its
+  orthonormal polynomials, whose three-term recurrence is closed form in the
+  exponent and computed when needed, never stored or fitted from moments,
 * :class:`ProductMeasure` -- a finite product of marginals over input modes,
-* :class:`PolynomialFamily` -- the orthonormal polynomials of a marginal,
-  whose three-term recurrence is closed form in the exponent and computed
-  when needed, never stored or fitted from moments,
+* :func:`poly_table` / :func:`eval_poly` -- the marginal's orthonormal
+  polynomials by forward recurrence,
 * :class:`QuadratureRule` / :func:`gauss_rule` -- Gaussian quadrature from the
   symmetric tridiagonal recurrence matrix, with the orthonormal values at its
-  nodes, from which ``sampling`` reads a marginal's induced laws.
+  nodes and, row ``n`` for every degree ``n`` below its order, the cumulative
+  column of the marginal's degree-``n`` induced law, which ``sampling``
+  inverts.
 
 All objects are immutable after construction, compare by value and are safe
-to share across concurrent workers; a measure's memo of Gauss rules only ever
-gains rules that any worker would compute bit for bit alike.
+to share across concurrent workers; a measure's memo of Gauss rules, and a
+rule's memo of its induced laws, only ever gain what any worker would
+compute bit for bit alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "UnivariateMeasure",
     "ProductMeasure",
-    "PolynomialFamily",
     "QuadratureRule",
-    "build_family",
     "gauss_rule",
     "eval_poly",
     "poly_table",
@@ -58,6 +61,14 @@ def fields_equal(a, b) -> bool:
 @dataclass(frozen=True)
 class UnivariateMeasure:
     """Symmetric Jacobi probability measure on [-1, 1] with exponent ``alpha``.
+
+    Its orthonormal polynomials follow the three-term recurrence
+
+        b_{n+1} p_{n+1}(x) = x p_n(x) - b_n p_{n-1}(x),
+
+    with ``p_0 = 1``, whose coefficients ``b_n`` are closed form in the
+    exponent and computed on demand; symmetry of the measure zeroes the
+    diagonal terms.  Leading coefficients are ``1 / (b_1 ... b_n) > 0``.
 
     ``_rules`` memoizes :func:`gauss_rule` by order; it takes no part in
     equality, hashing or ``repr``.
@@ -93,6 +104,26 @@ class UnivariateMeasure:
             out[t_sq == 1.0] = math.exp(-log_z)
         return out
 
+    def recurrence_offdiag(self, n: int) -> np.ndarray:
+        """Recurrence coefficients ``b_1 .. b_n`` (``b[0]`` unused), any ``n``.
+
+        The Jacobi matrix of the probability-normalized measure has zero
+        diagonal and off-diagonal entries ``b_m = sqrt(beta_m)`` with
+
+            beta_1 = 1 / (2 alpha + 3),
+            beta_m = m (m + 2 alpha) / ((2m + 2 alpha + 1)(2m + 2 alpha - 1)),  m >= 2.
+
+        ``beta_1`` is kept as a separate closed form: the general expression is
+        0/0 at ``m = 1`` when ``alpha = -1/2``.
+        """
+        b, two_alpha = np.zeros(n + 1), 2.0 * self.alpha
+        if n >= 1:
+            b[1] = math.sqrt(1.0 / (two_alpha + 3.0))
+        m = np.arange(2.0, n + 1)
+        low, high = 2.0 * m + two_alpha - 1.0, 2.0 * m + two_alpha + 1.0
+        b[2:] = np.sqrt(m * (m + two_alpha) / (high * low))
+        return b
+
 
 @dataclass(frozen=True)
 class ProductMeasure:
@@ -123,58 +154,15 @@ class ProductMeasure:
         return np.sqrt(self.variances)
 
 
-@dataclass(frozen=True)
-class PolynomialFamily:
-    """Orthonormal polynomials of a symmetric Jacobi marginal.
-
-    The family stores only its measure and top degree ``n_max``: the
-    three-term recurrence coefficients ``b_n`` of
-
-        b_{n+1} p_{n+1}(x) = x p_n(x) - b_n p_{n-1}(x),
-
-    with ``p_0 = 1``, are closed form in the exponent and computed on
-    demand; symmetry of the measure zeroes the diagonal terms.  Leading
-    coefficients are ``1 / (b_1 ... b_n) > 0``.
-    """
-
-    measure: UnivariateMeasure
-    n_max: int
-
-    def recurrence_offdiag(self, n: int) -> np.ndarray:
-        """Recurrence coefficients ``b_1 .. b_n`` (``b[0]`` unused), any ``n``.
-
-        The Jacobi matrix of the probability-normalized measure has zero
-        diagonal and off-diagonal entries ``b_m = sqrt(beta_m)`` with
-
-            beta_1 = 1 / (2 alpha + 3),
-            beta_m = m (m + 2 alpha) / ((2m + 2 alpha + 1)(2m + 2 alpha - 1)),  m >= 2.
-
-        ``beta_1`` is kept as a separate closed form: the general expression is
-        0/0 at ``m = 1`` when ``alpha = -1/2``.
-        """
-        b, two_alpha = np.zeros(n + 1), 2.0 * self.measure.alpha
-        if n >= 1:
-            b[1] = math.sqrt(1.0 / (two_alpha + 3.0))
-        m = np.arange(2.0, n + 1)
-        low, high = 2.0 * m + two_alpha - 1.0, 2.0 * m + two_alpha + 1.0
-        b[2:] = np.sqrt(m * (m + two_alpha) / (high * low))
-        return b
-
-
-def build_family(measure: UnivariateMeasure, n_max: int) -> PolynomialFamily:
-    """Construct the orthonormal family of ``measure`` up to degree ``n_max``."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return PolynomialFamily(measure=measure, n_max=n_max)
-
-
-def poly_table(family: PolynomialFamily, n_max: int, x: np.ndarray) -> np.ndarray:
+def poly_table(measure: UnivariateMeasure, n_max: int, x: np.ndarray) -> np.ndarray:
     """Values ``p_n(x)`` for ``n = 0 .. n_max``; shape ``(n_max + 1, len(x))``.
 
     Forward recurrence only; never through monomial coefficients.
     """
+    if n_max < 0:
+        raise ValueError(f"polynomial degree must be >= 0, got {n_max}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    b = family.recurrence_offdiag(n_max)
+    b = measure.recurrence_offdiag(n_max)
     table = np.empty((n_max + 1, x.size))
     table[0] = 1.0
     if n_max >= 1:
@@ -184,16 +172,14 @@ def poly_table(family: PolynomialFamily, n_max: int, x: np.ndarray) -> np.ndarra
     return table
 
 
-def eval_poly(family: PolynomialFamily, n: int, x) -> np.ndarray | float:
+def eval_poly(measure: UnivariateMeasure, n: int, x) -> np.ndarray | float:
     """Evaluate the orthonormal polynomial of degree ``n`` at ``x``.
 
     ``x`` outside [-1, 1] is permitted (extrapolation); callers that care
     flag it themselves.
     """
-    if n > family.n_max:
-        raise ValueError(f"degree {n} exceeds family n_max={family.n_max}")
     scalar = np.isscalar(x)
-    values = poly_table(family, n, x)[n]
+    values = poly_table(measure, n, x)[n]
     return float(values[0]) if scalar else values
 
 
@@ -201,8 +187,7 @@ def eval_poly(family: PolynomialFamily, n: int, x) -> np.ndarray | float:
 class QuadratureRule:
     """Gaussian rule: ``sum_q w_q f(x_q)`` integrates ``f d rho`` exactly
     for polynomials of degree <= 2 order - 1.  ``values[n, q]`` is
-    ``p_n(x_q)``, ``n < order``: one table per marginal holds every induced
-    law ``w_q p_n(x_q)^2`` of degree up to its top."""
+    ``p_n(x_q)``, ``n < order``."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -214,14 +199,44 @@ class QuadratureRule:
     def moment(self, r: int) -> float:
         return float(self.weights @ self.nodes**r)
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Discretized induced laws, computed once and read-only: row ``n``
+        is the cumulative column over ``nodes`` of the degree-``n`` law
+        ``p_n^2 d rho``, of masses ``w_q p_n(x_q)^2``, for every ``n < order``.
+        Row 0 is the discretized measure itself.
+
+        Each row of masses sums to one by exactness (``2n <= 2 order - 1``)
+        and is divided by its sum; a sum off by more than ``1e-8`` signals a
+        breakdown of the rule and raises.
+        """
+        masses = self.weights * np.square(self.values)
+        totals = masses.sum(axis=1)
+        n = int(np.argmax(np.abs(totals - 1.0)))
+        if abs(totals[n] - 1.0) > 1e-8:
+            raise ValueError(
+                f"induced law of degree {n} sums to {totals[n]!r} on the "
+                f"{self.order}-point rule"
+            )
+        column = cumulative(masses / totals[:, None])
+        column.flags.writeable = False
+        return column
+
+
+def cumulative(masses: np.ndarray) -> np.ndarray:
+    """Cumulative columns of discrete laws on the last axis, each ending at 1."""
+    column = np.cumsum(masses, axis=-1)
+    column[..., -1] = 1.0
+    return column
+
 
 def default_quadrature_order(n_max: int) -> int:
     """Default rule size used when callers do not specify one."""
     return 2 * (n_max + 1) + 8
 
 
-def gauss_rule(family: PolynomialFamily, order: int) -> QuadratureRule:
-    """Gauss rule of the family's measure via the tridiagonal eigenproblem.
+def gauss_rule(measure: UnivariateMeasure, order: int) -> QuadratureRule:
+    """Gauss rule of ``measure`` via the tridiagonal eigenproblem.
 
     Nodes are the roots of ``p_order``, the eigenvalues of the symmetric
     tridiagonal Jacobi matrix (Golub and Welsch, 1969); the weight at node
@@ -236,17 +251,17 @@ def gauss_rule(family: PolynomialFamily, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    rules = family.measure._rules
+    rules = measure._rules
     rule = rules.get(order)
     if rule is None:
-        b = family.recurrence_offdiag(order)
+        b = measure.recurrence_offdiag(order)
         jacobi = np.zeros((order, order))
         jacobi.flat[order :: order + 1] = b[1:order]
         try:
             nodes = np.linalg.eigvalsh(jacobi, UPLO="L")
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
             raise RuntimeError("quadrature eigen-solve did not converge") from exc
-        values = poly_table(family, order - 1, nodes)
+        values = poly_table(measure, order - 1, nodes)
         weights = 1.0 / np.sum(values * values, axis=0)
         for array in (nodes, weights, values):
             array.flags.writeable = False

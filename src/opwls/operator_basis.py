@@ -36,13 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import (
-    PolynomialFamily,
-    ProductMeasure,
-    build_family,
-    fields_equal,
-    poly_table,
-)
+from .measures import ProductMeasure, UnivariateMeasure, fields_equal, poly_table
 
 __all__ = [
     "LinearRankOneBasis",
@@ -120,23 +114,20 @@ class PolyOperatorBasis:
     """Tensor orthogonal-polynomial operator family ``[d_out] x Lambda_scalar``."""
 
     scalar_indices: np.ndarray
-    families: tuple[PolynomialFamily, ...]
+    marginals: tuple[UnivariateMeasure, ...]
     d_out: int
     _plan: _ProductPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         indices = np.atleast_2d(np.asarray(self.scalar_indices, dtype=int))
         object.__setattr__(self, "scalar_indices", indices)
-        object.__setattr__(self, "families", tuple(self.families))
-        if indices.shape[1] != len(self.families):
-            raise ValueError("one polynomial family per input mode is required")
+        object.__setattr__(self, "marginals", tuple(self.marginals))
+        if indices.shape[1] != len(self.marginals):
+            raise ValueError("one marginal per input mode is required")
         if np.any(indices < 0):
             raise ValueError("scalar indices must be non-negative")
         if self.d_out < 1:
             raise ValueError("d_out must be >= 1")
-        for j, family in enumerate(self.families):
-            if indices[:, j].max(initial=0) > family.n_max:
-                raise ValueError(f"family for mode {j} is too short")
         object.__setattr__(self, "_plan", _product_plan(indices))
 
     __eq__ = fields_equal
@@ -148,11 +139,7 @@ class PolyOperatorBasis:
         indices = np.atleast_2d(np.asarray(scalar_indices, dtype=int))
         if indices.shape[1] != len(measure):
             raise ValueError("scalar index width must match the measure dimension")
-        families = tuple(
-            build_family(measure.marginals[j], int(indices[:, j].max(initial=0)))
-            for j in range(len(measure))
-        )
-        return cls(scalar_indices=indices, families=families, d_out=d_out)
+        return cls(scalar_indices=indices, marginals=measure.marginals, d_out=d_out)
 
     @property
     def d_in(self) -> int:
@@ -194,8 +181,8 @@ class PolyOperatorBasis:
         m, n = batch.shape[0], self.n_eff
         if plan.levels:
             stacked = np.concatenate([
-                poly_table(family, top, batch[:, j])
-                for j, (family, top) in enumerate(zip(self.families, plan.tops))
+                poly_table(marginal, top, batch[:, j])
+                for j, (marginal, top) in enumerate(zip(self.marginals, plan.tops))
             ])
         out = np.empty((m, n))
         step = max(1, _BLOCK_VALUES // max(1, plan.n_nodes))

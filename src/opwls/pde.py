@@ -25,8 +25,6 @@ explicit mode list; 2-D mode lists enumerate ``(n1, n2)`` pairs.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -363,19 +361,6 @@ class DataSet:
     @property
     def n_samples(self) -> int:
         return int(self.inputs.shape[0])
-
-
-def content_hash(*parts) -> str:
-    """Stable hash of arrays / JSON-serializable metadata."""
-    digest = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            # the array's own buffer, not a copy of it
-            digest.update(memoryview(np.ascontiguousarray(part)))
-            digest.update(str(part.shape).encode())
-        else:
-            digest.update(json.dumps(part, sort_keys=True, default=str).encode())
-    return digest.hexdigest()
 
 
 def build_dataset(

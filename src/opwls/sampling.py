@@ -13,13 +13,15 @@ inverse-CDF machinery:
 Each univariate marginal (base or induced) is replaced by the discrete
 measure of a Q-point Gauss rule: the induced law of degree ``n`` puts mass
 ``w_q * p_n(x_q)^2`` at node ``x_q``, which sums to one by quadrature
-exactness whenever ``2n <= 2Q - 1``.  The rule holds the values ``p_n(x_q)``,
-so one table per marginal holds every degree up to its top, one cumulative
-row each, and a draw is a left binary search of a row.  The rank-one linear
-family is the degree-1 case of the polynomial one: the orthonormal degree-1
-polynomial of a centered marginal is exactly ``x / sigma``.  The base measure
-is the mixture whose one component is all zero, so Monte Carlo is the optimal
-draw under that plan: linear, polynomial and Monte Carlo draws share one path.
+exactness whenever ``2n <= 2Q - 1``.  The rule itself holds these laws, one
+cumulative row per degree below ``Q`` (:attr:`QuadratureRule.cdf`), and a
+draw is a left binary search of a row.  Rules are memoized on their
+measure, so one marginal's laws are computed once and shared by every basis
+and run that samples it.  The rank-one linear family is the degree-1 case of
+the polynomial one: the orthonormal degree-1 polynomial of a centered
+marginal is exactly ``x / sigma``.  The base measure is the mixture whose
+one component is all zero, so Monte Carlo is the optimal draw under that
+plan: linear, polynomial and Monte Carlo draws share one path.
 
 Randomness is counter based (Philox).  Sample ``i`` of a batch owns a fixed
 block of uniforms that any worker can regenerate by advancing the counter,
@@ -36,9 +38,10 @@ from types import MethodType
 import numpy as np
 
 from .measures import (
-    PolynomialFamily,
     ProductMeasure,
-    build_family,
+    QuadratureRule,
+    UnivariateMeasure,
+    cumulative,
     default_quadrature_order,
     fields_equal,
     gauss_rule,
@@ -47,7 +50,6 @@ from .operator_basis import LinearRankOneBasis, PolyOperatorBasis, optimal_weigh
 
 __all__ = [
     "RngSeed",
-    "InducedTable",
     "MixturePlan",
     "DiscretePlan",
     "DiscreteFeatureBasis",
@@ -90,53 +92,27 @@ class RngSeed:
         return np.random.Generator(bit_gen).random(padded)[:row_width]
 
 
-@dataclass(frozen=True)
-class InducedTable:
-    """Discretized base and induced laws of one input mode.
-
-    One table holds every degree from 0 to its top: row ``n`` of ``cdf`` is
-    the cumulative column of the degree-``n`` induced law ``p_n^2 d rho``
-    over ``nodes``; degree 0 is the discretized base measure itself.
-    """
-
-    nodes: np.ndarray
-    cdf: np.ndarray = field(repr=False)
-
-    __eq__ = fields_equal
-
-
 def build_induced_table(
-    family: PolynomialFamily, degrees, order: int | None = None
-) -> InducedTable:
-    """Tabulate the induced laws of degree 0 to ``max(degrees)`` on a Gauss
-    rule of ``order``, all at once from the rule's values ``p_n(x_q)``.
+    measure: UnivariateMeasure, degrees, order: int | None = None
+) -> QuadratureRule:
+    """The Gauss rule of ``order`` whose ``cdf`` holds the induced laws of
+    ``degrees``, and of every lower degree too.
 
-    Masses are ``w_q * p_n(x_q)^2``; each column must sum to one by
-    quadrature exactness (requires ``order >= max(degrees) + 1``), and a
-    deviation beyond ``1e-8`` signals an insufficient rule and raises.
+    The default order is ``default_quadrature_order(max(top, 1))`` for the
+    top degree ``top``; an order below ``top + 1`` holds no law of degree
+    ``top`` and raises, as do an empty and a negative degree.
     """
-    top = max(0, *map(int, degrees))
+    degrees = sorted(map(int, degrees))
+    if not degrees:
+        raise ValueError("no induced degree given")
+    if degrees[0] < 0:
+        raise ValueError(f"induced degree {degrees[0]} is negative")
+    top = degrees[-1]
     if order is None:
-        order = default_quadrature_order(max(top, family.n_max))
+        order = default_quadrature_order(max(top, 1))
     if order < top + 1:
         raise ValueError(f"order {order} too small for induced degree {top}")
-    rule = gauss_rule(family, order)
-    masses = rule.weights * np.square(rule.values[: top + 1])
-    totals = masses.sum(axis=1)
-    n = int(np.argmax(np.abs(totals - 1.0)))
-    if abs(totals[n] - 1.0) > 1e-8:
-        raise ValueError(
-            f"induced column for degree {n} sums to {totals[n]!r}; "
-            "increase the quadrature order"
-        )
-    return InducedTable(nodes=rule.nodes, cdf=_cumulative(masses / totals[:, None]))
-
-
-def _cumulative(masses: np.ndarray) -> np.ndarray:
-    """Cumulative columns of discrete laws on the last axis, each ending at 1."""
-    column = np.cumsum(masses, axis=-1)
-    column[..., -1] = 1.0
-    return column
+    return gauss_rule(measure, order)
 
 
 def _invert(column: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -145,7 +121,7 @@ def _invert(column: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def draw_induced(
-    table: InducedTable, degree: int, rng: RngSeed, size: int | None = None
+    table: QuadratureRule, degree: int, rng: RngSeed, size: int | None = None
 ):
     """Inverse-transform draw(s) from the degree-``degree`` induced law.
 
@@ -206,23 +182,22 @@ def _base_plan(d_in: int) -> MixturePlan:
 
 def build_induced_tables(
     measure: ProductMeasure, basis=None
-) -> dict[int, InducedTable]:
-    """Per-mode tables up to the top degree a basis samples in each mode.
+) -> dict[int, QuadratureRule]:
+    """Per mode, the memoized Gauss rule that holds the induced laws up to
+    the top degree a basis samples in that mode, at the default order.
 
-    Without a basis only the base (degree 0) columns are built.  The default
-    rule size is tied to the largest degree present, matching the rule used
-    for feature evaluation.
+    Without a basis, the rules of the base (degree 0) laws.
     """
     plan = _base_plan(len(measure)) if basis is None else mixture_plan(basis)
     tops = plan.components.max(axis=0).tolist()
     return {
-        j: build_induced_table(build_family(marginal, max(top, 1)), range(top + 1))
+        j: build_induced_table(marginal, [top])
         for j, (marginal, top) in enumerate(zip(measure.marginals, tops))
     }
 
 
 def _draw(
-    plan: MixturePlan, tables: dict[int, InducedTable], rng: RngSeed, n_samples: int
+    plan: MixturePlan, tables: dict[int, QuadratureRule], rng: RngSeed, n_samples: int
 ) -> np.ndarray:
     """Draw ``n_samples`` inputs from the mixture ``plan`` over ``tables``.
 
@@ -239,7 +214,7 @@ def _draw(
     tops = plan.components.max(axis=0).tolist()
     raised = [j for j, top in enumerate(tops) if top]
     if raised:
-        component = _invert(_cumulative(plan.probabilities), u[:, 0])
+        component = _invert(cumulative(plan.probabilities), u[:, 0])
     for j in raised:
         degree, table = plan.components[:, j][component], tables[j]
         for d in range(1, tops[j] + 1):
@@ -251,7 +226,7 @@ def _draw(
 
 def sample_optimal(
     plan: MixturePlan,
-    tables: dict[int, InducedTable],
+    tables: dict[int, QuadratureRule],
     rng: RngSeed,
     n_samples: int,
     basis,
@@ -267,7 +242,7 @@ def sample_monte_carlo(
     measure: ProductMeasure,
     rng: RngSeed,
     n_samples: int,
-    tables: dict[int, InducedTable] | None = None,
+    tables: dict[int, QuadratureRule] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """I.i.d. base draws, unit weights: the optimal draw of the all-zero plan."""
     if tables is None:
@@ -349,7 +324,7 @@ def sample_discrete(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Categorical leverage-score draws; returns point indices and weights."""
     u = rng.uniform_block(n_samples, 1)[:, 0]
-    indices = _invert(_cumulative(plan.probabilities), u)
+    indices = _invert(cumulative(plan.probabilities), u)
     return indices, plan.weights[indices]
 
 

@@ -1,10 +1,12 @@
-"""Golden artifacts of the four cheap presets: digests, and values next to them.
+"""Golden artifacts of the four cheap presets and of a small Burgers fit:
+digests, and values next to them.
 
 The README promises byte-identical ``results.csv``, ``gram.csv``,
 ``errors.json`` and ``coeffs/`` for one BLAS build; under a ``DYNAMIC_ARCH``
 OpenBLAS the last digits also follow the kernel picked for the CPU.  Each
 ``golden/<preset>.json`` is keyed on numpy's version, the BLAS and that
-kernel, as the run's manifest records them.  Where the key matches, the
+kernel, as the run's manifest records them, and ``golden/<name>.json`` for
+the Burgers config, which is no preset.  Where the key matches, the
 sha256 digests decide.  Where it differs, :func:`deviations` compares the
 recorded values: the rows of ``results.csv``, ``gram.csv`` and
 ``errors.json``, and each ``coeffs/`` file's per-row sums and largest
@@ -30,6 +32,14 @@ from opwls.experiments import PRESETS, ExperimentConfig, run
 
 GOLDEN = Path(__file__).parent / "golden"
 CHEAP = ("poisson2d-paper", "poisson1d-kernel", "discrete-demo", "complexity-sweep")
+# the Burgers solver and the polynomial samplers at Tier-1 size, both samplers
+BURGERS = {
+    "experiment": "burgers", "seed": 22, "sampling": "both", "trials": 1,
+    "n_test": 50, "measure": {"alpha_rule": "squared_index", "d_in": 3},
+    "index_set": {"gamma_rule": "linear_decay", "degree_cap": 10},
+    "solver": {"viscosity": 0.1}, "sweep": [2, 4], "d_out": 4,
+}
+CONFIGS = {**{name: PRESETS[name] for name in CHEAP}, "burgers-small": BURGERS}
 KEY = ("numpy", "blas", "blas_core")
 ROWS = ("results.csv", "gram.csv", "errors.json")
 # compared exactly, as are strings: the columns that name a fit
@@ -144,9 +154,9 @@ def beyond_tolerance(report: dict) -> dict:
     }
 
 
-def record(preset: str, out: Path) -> tuple[dict, dict, dict]:
-    """Run ``preset`` cold into ``out``; its key, file digests and values."""
-    config = ExperimentConfig(**{**PRESETS[preset], "out_dir": str(out),
+def record(name: str, out: Path) -> tuple[dict, dict, dict]:
+    """Run config ``name`` cold into ``out``; its key, file digests and values."""
+    config = ExperimentConfig(**{**CONFIGS[name], "out_dir": str(out),
                                  "write_datasets": False})
     environment = run(config).manifest["environment"]
     paths = [out / name for name in ROWS] + sorted((out / "coeffs").glob("*.csv"))
@@ -156,14 +166,14 @@ def record(preset: str, out: Path) -> tuple[dict, dict, dict]:
             artifact_values(out))
 
 
-def golden(preset: str) -> dict:
-    return json.loads((GOLDEN / f"{preset}.json").read_text(encoding="utf-8"))
+def golden(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("preset", CHEAP)
-def test_artifacts_match_golden_digests(preset, tmp_path):
-    recorded = golden(preset)
-    key, found, values = record(preset, tmp_path)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_artifacts_match_golden_digests(name, tmp_path):
+    recorded = golden(name)
+    key, found, values = record(name, tmp_path)
     report = deviations(recorded["values"], values)
     if key == recorded["key"]:
         assert found == recorded["sha256"]
@@ -217,7 +227,7 @@ def test_comparer_reads_exact_fit_errors_as_roundoff():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in CHEAP:
+    for name in CONFIGS:
         with tempfile.TemporaryDirectory() as out:
             key, found, values = record(name, Path(out))
         entry = {"key": key, "sha256": found, "values": values}

@@ -9,7 +9,6 @@ import pytest
 from opwls.measures import (
     ProductMeasure,
     UnivariateMeasure,
-    build_family,
     default_quadrature_order,
     eval_poly,
     gauss_rule,
@@ -43,9 +42,9 @@ class TestSecondMoment:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_matches_quadrature(self, alpha):
-        fam = build_family(UnivariateMeasure(alpha), 2)
+        marginal = UnivariateMeasure(alpha)
         for order in (2, 5, 9):
-            rule = gauss_rule(fam, order)
+            rule = gauss_rule(marginal, order)
             assert rule.moment(2) == pytest.approx(1 / (2 * alpha + 3), abs=1e-12)
 
 
@@ -54,42 +53,42 @@ class TestFamily:
         # Gram-Schmidt oracle on {1, x} under the uniform probability measure
         lead = dense_grid_gram_schmidt_p1(0.0)
         assert lead == pytest.approx(math.sqrt(3.0), abs=1e-6)
-        fam = build_family(UnivariateMeasure(0.0), 3)
-        assert eval_poly(fam, 1, 1.0) == pytest.approx(lead, abs=1e-6)
+        marginal = UnivariateMeasure(0.0)
+        assert eval_poly(marginal, 1, 1.0) == pytest.approx(lead, abs=1e-6)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_p0_is_one(self, alpha):
-        fam = build_family(UnivariateMeasure(alpha), 4)
+        marginal = UnivariateMeasure(alpha)
         for x in (-1.0, -0.3, 0.0, 0.7, 1.0):
-            assert eval_poly(fam, 0, x) == 1.0
+            assert eval_poly(marginal, 0, x) == 1.0
 
     def test_p1_p2_orthogonal_under_q8_rule(self):
-        fam = build_family(UnivariateMeasure(0.0), 4)
-        rule = gauss_rule(fam, 8)
-        p1 = eval_poly(fam, 1, rule.nodes)
-        p2 = eval_poly(fam, 2, rule.nodes)
+        marginal = UnivariateMeasure(0.0)
+        rule = gauss_rule(marginal, 8)
+        p1 = eval_poly(marginal, 1, rule.nodes)
+        p2 = eval_poly(marginal, 2, rule.nodes)
         assert abs(np.sum(rule.weights * p1 * p2)) <= 1e-12
 
     def test_leading_coefficients_positive(self):
         # positive b guarantees positive leading coefficients by induction
-        fam = build_family(UnivariateMeasure(1.5), 8)
-        assert np.all(fam.recurrence_offdiag(fam.n_max + 1)[1:] > 0.0)
+        marginal = UnivariateMeasure(1.5)
+        assert np.all(marginal.recurrence_offdiag(9)[1:] > 0.0)
 
     @pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 1.5, 13.5, 1e4])
     def test_recurrence_is_bitwise_prefix_of_longer_one(self, alpha):
         # the coefficients are recomputed on every call, so a short call must
         # give the bits of the same entries of a longer one
-        fam = build_family(UnivariateMeasure(alpha), 3)
-        longest = fam.recurrence_offdiag(40)
+        marginal = UnivariateMeasure(alpha)
+        longest = marginal.recurrence_offdiag(40)
         for n in range(40):
-            assert fam.recurrence_offdiag(n).tobytes() == longest[: n + 1].tobytes()
+            assert marginal.recurrence_offdiag(n).tobytes() == longest[: n + 1].tobytes()
 
     def test_same_arguments_give_equal_families(self):
-        fam = build_family(UnivariateMeasure(0.5), 6)
-        again = build_family(UnivariateMeasure(0.5), 6)
-        assert fam == again
-        assert hash(fam) == hash(again)
-        assert fam != build_family(UnivariateMeasure(0.5), 7)
+        marginal = UnivariateMeasure(0.5)
+        again = UnivariateMeasure(0.5)
+        assert marginal == again
+        assert hash(marginal) == hash(again)
+        assert marginal != UnivariateMeasure(0.7)
 
     def test_rejects_degenerate_alpha(self):
         with pytest.raises(ValueError):
@@ -97,15 +96,11 @@ class TestFamily:
         with pytest.raises(ValueError):
             UnivariateMeasure(-1.2)
 
-    def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            build_family(UnivariateMeasure(0.0), -1)
-
 
 class TestGaussRule:
     def test_single_node_at_mean(self):
         for alpha in ALPHAS:
-            rule = gauss_rule(build_family(UnivariateMeasure(alpha), 1), 1)
+            rule = gauss_rule(UnivariateMeasure(alpha), 1)
             assert rule.nodes == pytest.approx([0.0], abs=1e-15)
             assert rule.weights == pytest.approx([1.0], abs=1e-15)
 
@@ -113,18 +108,18 @@ class TestGaussRule:
         # oracle: symmetric 2-point rule matching moments 1, 0, 1/3 has
         # node x with x^2 = 1/3 and weights 1/2
         node = math.sqrt(1 / 3)
-        rule = gauss_rule(build_family(UnivariateMeasure(0.0), 2), 2)
+        rule = gauss_rule(UnivariateMeasure(0.0), 2)
         assert np.sort(rule.nodes) == pytest.approx([-node, node], abs=1e-14)
         assert rule.weights == pytest.approx([0.5, 0.5], abs=1e-14)
 
     def test_variance_exactness_q8(self):
-        rule = gauss_rule(build_family(UnivariateMeasure(0.0), 4), 8)
+        rule = gauss_rule(UnivariateMeasure(0.0), 8)
         assert rule.moment(2) == pytest.approx(1 / 3, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("order", [2, 5, 12])
     def test_weights_positive_and_normalized(self, alpha, order):
-        rule = gauss_rule(build_family(UnivariateMeasure(alpha), 2), order)
+        rule = gauss_rule(UnivariateMeasure(alpha), order)
         assert np.all(rule.weights > 0.0)
         assert abs(rule.weights.sum() - 1.0) <= 1e-12
 
@@ -132,9 +127,9 @@ class TestGaussRule:
     def test_monomial_exactness(self, alpha):
         # spot-check exactness on monomials of degree <= 2Q - 1 against a
         # much larger reference rule
-        fam = build_family(UnivariateMeasure(alpha), 4)
-        rule = gauss_rule(fam, 5)
-        reference = gauss_rule(fam, 40)
+        marginal = UnivariateMeasure(alpha)
+        rule = gauss_rule(marginal, 5)
+        reference = gauss_rule(marginal, 40)
         for degree in range(0, 10):
             assert rule.moment(degree) == pytest.approx(
                 reference.moment(degree), abs=1e-10
@@ -142,7 +137,7 @@ class TestGaussRule:
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            gauss_rule(build_family(UnivariateMeasure(0.0), 1), 0)
+            gauss_rule(UnivariateMeasure(0.0), 0)
 
     # the l1_cubed rule's alphas: (n1 + n2)^3 over modes n1, n2 in 1..10
     @pytest.mark.parametrize(
@@ -154,19 +149,19 @@ class TestGaussRule:
         # and runs the same dsterf iteration as scipy's tridiagonal one
         from scipy.linalg import eigh_tridiagonal
 
-        fam = build_family(UnivariateMeasure(alpha), 60)
+        marginal = UnivariateMeasure(alpha)
         for order in range(1, 61):
-            b = fam.recurrence_offdiag(order)
+            b = marginal.recurrence_offdiag(order)
             expected = eigh_tridiagonal(np.zeros(order), b[1:order], eigvals_only=True)
-            assert np.array_equal(gauss_rule(fam, order).nodes, expected), order
+            assert np.array_equal(gauss_rule(marginal, order).nodes, expected), order
 
     def test_rule_computed_once_per_measure_and_order(self):
         measure = UnivariateMeasure(2.0)
-        rule = gauss_rule(build_family(measure, 3), 9)
-        # another family of the same measure shares the rule
-        assert gauss_rule(build_family(measure, 7), 9) is rule
-        assert gauss_rule(build_family(measure, 3), 10) is not rule
-        fresh = gauss_rule(build_family(UnivariateMeasure(2.0), 3), 9)
+        rule = gauss_rule(measure, 9)
+        # a second call shares the rule
+        assert gauss_rule(measure, 9) is rule
+        assert gauss_rule(measure, 10) is not rule
+        fresh = gauss_rule(UnivariateMeasure(2.0), 9)
         assert fresh is not rule
         assert np.array_equal(fresh.nodes, rule.nodes)
         assert np.array_equal(fresh.weights, rule.weights)
@@ -184,52 +179,51 @@ class TestGaussRule:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 seen = list(pool.map(
-                    lambda _: [gauss_rule(build_family(measure, 3), q) for q in orders],
+                    lambda _: [(rule, rule.cdf) for rule in
+                               (gauss_rule(measure, q) for q in orders)],
                     range(8),
                     timeout=60,
                 ))
         finally:
             sys.setswitchinterval(interval)
-        for q, rules in zip(orders, zip(*seen)):
+        for q, found in zip(orders, zip(*seen)):
+            rules, laws = zip(*found)
             assert all(rule is rules[0] for rule in rules)
-            fresh = gauss_rule(build_family(UnivariateMeasure(4.0), 3), q)
+            fresh = gauss_rule(UnivariateMeasure(4.0), q)
             assert np.array_equal(rules[0].nodes, fresh.nodes)
             assert np.array_equal(rules[0].weights, fresh.weights)
+            # a rule's laws may be computed by two threads at once, bit for bit alike
+            assert all(law.tobytes() == fresh.cdf.tobytes() for law in laws)
 
 
 class TestInvariants:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 13.5])
     def test_rule_reproduces_orthonormality(self, alpha):
         n_max = 5
-        fam = build_family(UnivariateMeasure(alpha), n_max)
+        marginal = UnivariateMeasure(alpha)
         for order in (n_max + 1, default_quadrature_order(n_max)):
-            rule = gauss_rule(fam, order)
-            table = poly_table(fam, n_max, rule.nodes)
+            rule = gauss_rule(marginal, order)
+            table = poly_table(marginal, n_max, rule.nodes)
             gram = (table * rule.weights) @ table.T
             assert np.abs(gram - np.eye(n_max + 1)).max() <= 1e-10
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
     def test_p_q_vanishes_at_rule_nodes(self, alpha):
         order = 7
-        fam = build_family(UnivariateMeasure(alpha), order)
-        rule = gauss_rule(fam, order)
-        values = eval_poly(fam, order, rule.nodes)
-        dense = eval_poly(fam, order, np.linspace(-1, 1, 2001))
+        marginal = UnivariateMeasure(alpha)
+        rule = gauss_rule(marginal, order)
+        values = eval_poly(marginal, order, rule.nodes)
+        dense = eval_poly(marginal, order, np.linspace(-1, 1, 2001))
         assert np.abs(values).max() <= 1e-8 * np.abs(dense).max()
 
     def test_odd_polynomials_vanish_at_zero(self):
-        fam = build_family(UnivariateMeasure(1.5), 7)
+        marginal = UnivariateMeasure(1.5)
         for n in (1, 3, 5, 7):
-            assert eval_poly(fam, n, 0.0) == pytest.approx(0.0, abs=1e-14)
+            assert eval_poly(marginal, n, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_eval_outside_support_permitted(self):
-        fam = build_family(UnivariateMeasure(0.0), 3)
-        assert np.isfinite(eval_poly(fam, 3, 1.5))
-
-    def test_eval_beyond_family_degree_rejected(self):
-        fam = build_family(UnivariateMeasure(0.0), 3)
-        with pytest.raises(ValueError):
-            eval_poly(fam, 4, 0.5)
+        marginal = UnivariateMeasure(0.0)
+        assert np.isfinite(eval_poly(marginal, 3, 1.5))
 
 
 class TestProductMeasure:
@@ -256,7 +250,7 @@ def _value_types():
     from opwls.index_sets import IndexSetSpec, generate
     from opwls.operator_basis import PolyOperatorBasis
     from opwls.pde import build_dataset
-    from opwls.sampling import RngSeed, build_induced_table, sample_monte_carlo
+    from opwls.sampling import RngSeed, sample_monte_carlo
     from opwls.wls import assemble, solve
 
     def spec():
@@ -277,9 +271,7 @@ def _value_types():
     return {
         "IndexSetSpec": (spec, "gamma"),
         "QuadratureRule": (
-            lambda: gauss_rule(build_family(UnivariateMeasure(0.5), 4), 6), "values"),
-        "InducedTable": (lambda: build_induced_table(
-            build_family(UnivariateMeasure(0.5), 3), range(4)), "cdf"),
+            lambda: gauss_rule(UnivariateMeasure(0.5), 6), "values"),
         "DataSet": (dataset, "outputs"),
         "WlsSystem": (lambda: system()[0], "targets"),
         "OperatorEstimate": (lambda: solve(*system()), "coefficients"),

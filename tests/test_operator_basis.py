@@ -7,7 +7,7 @@ import pytest
 
 from opwls.experiments import total_degree_prefix
 from opwls.index_sets import IndexSetSpec, generate, is_monotone_lower
-from opwls.measures import ProductMeasure, build_family, gauss_rule, poly_table
+from opwls.measures import ProductMeasure, gauss_rule, poly_table
 from opwls.operator_basis import (
     LinearRankOneBasis,
     PolyOperatorBasis,
@@ -35,12 +35,12 @@ def small_poly_basis(d_out=3):
 def dense_features(basis, batch):
     """Reference: the dense product over all coordinates, from 1.0, left to right."""
     out = np.ones((batch.shape[0], basis.n_eff))
-    for j, family in enumerate(basis.families):
+    for j, marginal in enumerate(basis.marginals):
         degrees = basis.scalar_indices[:, j]
         top = int(degrees.max(initial=0))
         if top == 0:
             continue
-        out *= poly_table(family, top, batch[:, j])[degrees].T
+        out *= poly_table(marginal, top, batch[:, j])[degrees].T
     return out
 
 
@@ -89,7 +89,7 @@ class TestScalarFeatures:
 
     def test_same_arguments_compare_equal(self):
         measure, basis = small_poly_basis()
-        twin = PolyOperatorBasis(basis.scalar_indices, basis.families, basis.d_out)
+        twin = PolyOperatorBasis(basis.scalar_indices, basis.marginals, basis.d_out)
         assert twin == basis
         assert "_plan" not in repr(basis)
         # separate builds share no arrays
@@ -294,7 +294,7 @@ class TestMonomialOperators:
         indices = generate(spec)
         basis = PolyOperatorBasis.build(measure, indices, 1)
 
-        rules = [gauss_rule(build_family(m, 8), 8) for m in measure.marginals]
+        rules = [gauss_rule(m, 8) for m in measure.marginals]
         nodes = np.array(
             list(itertools.product(rules[0].nodes, rules[1].nodes))
         )
@@ -320,7 +320,7 @@ class TestTensorOrthonormality:
             kind="lp_ball", p=1.0, radius=4.0, gamma=np.ones(d), degree_cap=5
         )
         basis = PolyOperatorBasis.build(measure, generate(spec), 1)
-        rules = [gauss_rule(build_family(m, 6), 8) for m in measure.marginals]
+        rules = [gauss_rule(m, 8) for m in measure.marginals]
         grids = itertools.product(*[range(8)] * d)
         nodes, weights = [], []
         for combo in grids:

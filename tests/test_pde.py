@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -414,27 +413,6 @@ class TestBuildDataset:
         full_err = np.sum((full - prediction) ** 2, axis=1).mean()
         truncation = np.sum(full[:, d_keep:] ** 2, axis=1).mean()
         assert full_err >= truncation - 1e-12
-
-
-class TestContentHash:
-    # the hash reads each array's buffer in place; its digest must be the
-    # one of the array's C-order bytes, which cached datasets are keyed by
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda a: a,
-            np.asfortranarray,
-            lambda a: a[1::2, ::-3],
-        ],
-        ids=["c_order", "f_order", "sliced"],
-    )
-    def test_digest_matches_bytes(self, make):
-        array = make(np.random.default_rng(9).uniform(-1, 1, (7, 12)))
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(array).tobytes())
-        digest.update(str(array.shape).encode())
-        digest.update(json.dumps({"n": 3}, sort_keys=True).encode())
-        assert pde.content_hash(array, {"n": 3}) == digest.hexdigest()
 
 
 def test_solver_threads_without_affinity_call(monkeypatch):

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from opwls.index_sets import IndexSetSpec, generate
-from opwls.measures import ProductMeasure, UnivariateMeasure, build_family, gauss_rule
+from opwls.measures import (
+    ProductMeasure,
+    UnivariateMeasure,
+    default_quadrature_order,
+    eval_poly,
+    gauss_rule,
+    poly_table,
+)
 from opwls.operator_basis import LinearRankOneBasis, PolyOperatorBasis
 from opwls.sampling import (
     DiscreteFeatureBasis,
@@ -46,43 +53,87 @@ def table_moment(table, degree, power):
 
 class TestInducedTable:
     def test_degree_zero_is_cumulated_base_weights(self):
-        fam = build_family(UnivariateMeasure(0.0), 3)
-        table = build_induced_table(fam, {0, 1, 2}, order=9)
-        rule = gauss_rule(fam, 9)
+        marginal = UnivariateMeasure(0.0)
+        table = build_induced_table(marginal, {0, 1, 2}, order=9)
+        rule = gauss_rule(marginal, 9)
         assert np.allclose(table.cdf[0], np.cumsum(rule.weights), atol=1e-14)
         assert np.array_equal(table.nodes, rule.nodes)
 
     def test_uniform_degree_one_two_point_masses(self):
         # w = 1/2 and p_1(+-1/sqrt 3)^2 = 3 * (1/3) = 1: masses 1/2 each
-        fam = build_family(UnivariateMeasure(0.0), 1)
-        table = build_induced_table(fam, {1}, order=2)
+        marginal = UnivariateMeasure(0.0)
+        table = build_induced_table(marginal, {1}, order=2)
         masses = np.diff(table.cdf[1], prepend=0.0)
         assert masses == pytest.approx([0.5, 0.5], abs=1e-14)
 
     def test_columns_end_at_one(self):
-        fam = build_family(UnivariateMeasure(2.0), 6)
-        table = build_induced_table(fam, range(7), order=16)
-        assert table.cdf.shape == (7, 16)
+        marginal = UnivariateMeasure(2.0)
+        table = build_induced_table(marginal, range(7), order=16)
+        assert table.cdf.shape == (16, 16)
         for column in table.cdf:
             assert column[-1] == 1.0
             assert np.all(np.diff(column) >= -1e-15)
 
     def test_insufficient_order_rejected(self):
-        fam = build_family(UnivariateMeasure(0.0), 5)
+        marginal = UnivariateMeasure(0.0)
         with pytest.raises(ValueError):
-            build_induced_table(fam, {5}, order=5)
+            build_induced_table(marginal, {5}, order=5)
+
+    def test_rows_match_cumulated_masses_over_their_sums_bitwise(self):
+        alphas = np.concatenate([np.linspace(-0.9, 10.0, 40),
+                                 np.geomspace(10.0, 8000.0, 40)[1:]])
+        for alpha in alphas.tolist():
+            marginal = UnivariateMeasure(alpha)
+            for top in range(11):
+                rule = build_induced_table(marginal, [top])
+                masses = rule.weights * np.square(rule.values[: top + 1])
+                reference = np.cumsum(masses / masses.sum(axis=1)[:, None], axis=1)
+                reference[:, -1] = 1.0
+                assert rule.cdf[: top + 1].tobytes() == reference.tobytes(), (alpha, top)
+
+    def test_tables_are_the_memoized_rules(self):
+        measure = ProductMeasure.from_alphas([0.0, 1.0, 4.0])
+        indices = np.array([[0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 3, 0]])
+        basis = PolyOperatorBasis.build(measure, indices, 2)
+        tables = build_induced_tables(measure, basis)
+        for table, marginal, top in zip(tables.values(), measure.marginals, (2, 3, 0)):
+            order = default_quadrature_order(max(top, 1))
+            assert table is gauss_rule(marginal, order)
+        counts = [len(marginal._rules) for marginal in measure.marginals]
+        again = build_induced_tables(measure, basis)
+        assert all(again[j] is tables[j] for j in tables)
+        assert [len(marginal._rules) for marginal in measure.marginals] == counts
+
+    def test_cdf_is_computed_once_and_read_only(self):
+        rule = build_induced_table(UnivariateMeasure(1.0), [3])
+        assert rule.cdf is rule.cdf
+        assert not rule.cdf.flags.writeable
+        with pytest.raises(ValueError):
+            rule.cdf[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: poly_table(m, -1, 0.5), "degree must be >= 0, got -1"),
+    (lambda m: eval_poly(m, -1, 0.5), "degree must be >= 0, got -1"),
+    (lambda m: build_induced_table(m, []), "no induced degree"),
+    (lambda m: build_induced_table(m, [-2]), "induced degree -2 is negative"),
+    (lambda m: build_induced_table(m, [3, -2]), "induced degree -2 is negative"),
+], ids=["poly_table", "eval_poly", "no_degree", "negative", "negative_among"])
+def test_bad_degree_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(UnivariateMeasure(0.0))
 
 
 class TestUnivariateDraws:
     def test_u_zero_gives_first_node(self):
-        fam = build_family(UnivariateMeasure(0.0), 2)
-        table = build_induced_table(fam, {0, 1}, order=5)
+        marginal = UnivariateMeasure(0.0)
+        table = build_induced_table(marginal, {0, 1}, order=5)
         assert draw_induced(table, 0, FixedUniforms()) == table.nodes[0]
 
     def test_base_moments(self):
         alpha = 1.0
-        fam = build_family(UnivariateMeasure(alpha), 2)
-        table = build_induced_table(fam, {0}, order=10)
+        marginal = UnivariateMeasure(alpha)
+        table = build_induced_table(marginal, {0}, order=10)
         n = 100_000
         draws = draw_induced(table, 0, RngSeed(5), size=n)
         assert_within_se(draws.mean(), 0.0, draws.std() / math.sqrt(n))
@@ -91,16 +142,16 @@ class TestUnivariateDraws:
 
     def test_degree_zero_equals_base(self):
         # inverse transform of the Gauss rule's cumulative weights
-        fam = build_family(UnivariateMeasure(0.5), 2)
-        table = build_induced_table(fam, {0, 1}, order=8)
-        rule = gauss_rule(fam, 8)
+        marginal = UnivariateMeasure(0.5)
+        table = build_induced_table(marginal, {0, 1}, order=8)
+        rule = gauss_rule(marginal, 8)
         u = RngSeed(9).uniform_block(500, 1)[:, 0]
         base = rule.nodes[np.searchsorted(np.cumsum(rule.weights), u)]
         assert np.array_equal(draw_induced(table, 0, RngSeed(9), size=500), base)
 
     def test_uniform_degree_one_two_point_frequencies(self):
-        fam = build_family(UnivariateMeasure(0.0), 1)
-        table = build_induced_table(fam, {1}, order=2)
+        marginal = UnivariateMeasure(0.0)
+        table = build_induced_table(marginal, {1}, order=2)
         n = 100_000
         draws = draw_induced(table, 1, RngSeed(17), size=n)
         freq = np.mean(draws > 0)
@@ -108,8 +159,8 @@ class TestUnivariateDraws:
 
     def test_degree_one_second_moment_closed_form(self):
         # oracle: integral of x^2 * 3 x^2 / 2 over [-1, 1] is 3/5
-        fam = build_family(UnivariateMeasure(0.0), 1)
-        table = build_induced_table(fam, {1}, order=4)
+        marginal = UnivariateMeasure(0.0)
+        table = build_induced_table(marginal, {1}, order=4)
         assert table_moment(table, 1, 2) == pytest.approx(0.6, abs=1e-12)
         n = 100_000
         draws = draw_induced(table, 1, RngSeed(23), size=n)
@@ -117,10 +168,10 @@ class TestUnivariateDraws:
         assert_within_se(sq.mean(), 0.6, sq.std() / math.sqrt(n))
 
     def test_unknown_degree_rejected(self):
-        fam = build_family(UnivariateMeasure(0.0), 2)
-        table = build_induced_table(fam, {0}, order=4)
+        marginal = UnivariateMeasure(0.0)
+        table = build_induced_table(marginal, {0}, order=4)
         with pytest.raises(KeyError):
-            draw_induced(table, 2, RngSeed(1))
+            draw_induced(table, 4, RngSeed(1))
 
 
 class TestMixturePlan:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from opwls import wls
 from opwls.index_sets import IndexSetSpec, generate
-from opwls.measures import ProductMeasure, build_family, gauss_rule
+from opwls.measures import ProductMeasure, gauss_rule
 from opwls.operator_basis import PolyOperatorBasis
 from opwls.sampling import (
     RngSeed,
@@ -224,7 +224,7 @@ class TestSolve:
         def apply_target(x):
             return basis.scalar_features(x) @ target
 
-        rules = [gauss_rule(build_family(m, 8), 10) for m in measure.marginals]
+        rules = [gauss_rule(m, 10) for m in measure.marginals]
         nodes = np.array(list(itertools.product(rules[0].nodes, rules[1].nodes)))
         wq = np.array([a * b for a in rules[0].weights for b in rules[1].weights])
         phi = basis.scalar_features(nodes)
