@@ -15,7 +15,6 @@ from opwls import (
     RngSeed,
     SobolevWeighting,
     assemble,
-    build_discrete_plan,
     empirical_bochner_error,
     generate,
     gram_diagnostics,
@@ -34,8 +33,8 @@ targets = demo_target(cloud, d_out)
 spec = IndexSetSpec(kind="hyperbolic_cross", radius=4.0, gamma=np.ones(d_in),
                     degree_cap=10)
 ref = PolyOperatorBasis.build(measure, generate(spec), d_out)
-features = lambda x: ref.scalar_features(x, warn_extrapolation=False)
-plan = build_discrete_plan(cloud, features)
+basis = DiscreteFeatureBasis.build(cloud, ref)
+plan = basis.plan
 print(f"cloud size S = {s}, N_eff = {plan.n_eff}")
 print(f"leverage probabilities: sum = {plan.probabilities.sum():.12f}, "
       f"range [{plan.probabilities.min():.2e}, {plan.probabilities.max():.2e}]")
@@ -43,7 +42,6 @@ gram = plan.b_values.T @ plan.b_values / s
 print(f"cloud-orthonormal features: max |Gram - I| = "
       f"{np.abs(gram - np.eye(plan.n_eff)).max():.2e}")
 
-basis = DiscreteFeatureBasis(plan=plan, raw_features=features, d_out=d_out)
 m = min_samples(plan.n_eff, 0.5, 0.5)
 modes = np.arange(1, d_out + 1)
 

@@ -67,7 +67,6 @@ from .pde import (
 from .sampling import (
     DiscreteFeatureBasis,
     RngSeed,
-    build_discrete_plan,
     build_induced_tables,
     mixture_plan,
     sample_discrete,
@@ -807,9 +806,8 @@ def discrete_spec(config: ExperimentConfig) -> FitSpec:
     def entry(k) -> tuple:
         indices = generate(cross_spec(config, len(measure), k))
         ref_basis = PolyOperatorBasis.build(measure, indices, d_out)
-        raw_features = partial(ref_basis.scalar_features, warn_extrapolation=False)
-        plan = build_discrete_plan(cloud, raw_features)
-        basis = DiscreteFeatureBasis(plan=plan, raw_features=raw_features, d_out=d_out)
+        basis = DiscreteFeatureBasis.build(cloud, ref_basis)
+        plan = basis.plan
 
         def draw(sampler: str, rng: RngSeed, size: int):
             if sampler == "optimal":

@@ -136,10 +136,7 @@ class PolyOperatorBasis:
     def build(
         cls, measure: ProductMeasure, scalar_indices, d_out: int
     ) -> "PolyOperatorBasis":
-        indices = np.atleast_2d(np.asarray(scalar_indices, dtype=int))
-        if indices.shape[1] != len(measure):
-            raise ValueError("scalar index width must match the measure dimension")
-        return cls(scalar_indices=indices, marginals=measure.marginals, d_out=d_out)
+        return cls(scalar_indices, measure.marginals, d_out)
 
     @property
     def d_in(self) -> int:

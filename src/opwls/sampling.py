@@ -23,6 +23,12 @@ marginal is exactly ``x / sigma``.  The base measure is the mixture whose
 one component is all zero, so Monte Carlo is the optimal draw under that
 plan: linear, polynomial and Monte Carlo draws share one path.
 
+A measure known only through a point cloud has one basis per cloud:
+:meth:`DiscreteFeatureBasis.build` orthonormalizes a reference
+:class:`PolyOperatorBasis` on the cloud (:func:`build_discrete_plan`) and
+keeps the plan and the reference, which both compare by value; leverage
+draws are :func:`sample_discrete` on its ``plan``.
+
 Randomness is counter based (Philox).  Sample ``i`` of a batch owns a fixed
 block of uniforms that any worker can regenerate by advancing the counter,
 so results are bitwise reproducible regardless of how samples are
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
-from types import MethodType
 
 import numpy as np
 
@@ -279,22 +284,18 @@ class DiscretePlan:
     def n_eff(self) -> int:
         return int(self.transform.shape[0])
 
-    def b_features(self, fhat: np.ndarray, raw_features) -> np.ndarray:
-        """Cloud-orthonormal features at arbitrary inputs."""
-        return np.atleast_2d(raw_features(fhat)) @ self.transform_inverse
 
-
-def build_discrete_plan(points: np.ndarray, raw_features) -> DiscretePlan:
+def build_discrete_plan(points: np.ndarray, features) -> DiscretePlan:
     """Orthonormalize features on a cloud and compute leverage probabilities.
 
-    ``raw_features`` maps an ``(S, d)`` batch to an ``(S, N_eff)`` feature
+    ``features`` maps an ``(S, d)`` batch to an ``(S, N_eff)`` feature
     matrix; it need not be orthonormal in any continuous sense.  Fails with
     the numerical rank reported when the features are rank deficient on the
     cloud.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     s = points.shape[0]
-    phi = np.atleast_2d(raw_features(points))
+    phi = np.atleast_2d(features(points))
     n_eff = phi.shape[1]
     if s < n_eff:
         raise ValueError(f"need at least N_eff={n_eff} points, got {s}")
@@ -330,7 +331,8 @@ def sample_discrete(
 
 @dataclass(frozen=True)
 class DiscreteFeatureBasis:
-    """Operator-basis adapter whose scalar features are a plan's b-features.
+    """Operator basis whose scalar features are ``reference``'s, orthonormalized
+    on a point cloud: the b-features of ``plan``.
 
     Lets the weighted least-squares machinery run unchanged on discrete
     measures: the b-features are orthonormal under the cloud measure, so the
@@ -338,14 +340,21 @@ class DiscreteFeatureBasis:
     """
 
     plan: DiscretePlan
-    raw_features: object
-    d_out: int
+    reference: PolyOperatorBasis
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        same = self.plan == other.plan and self.d_out == other.d_out
-        return same and _same_map(self.raw_features, other.raw_features)
+    __eq__ = fields_equal
+
+    @classmethod
+    def build(
+        cls, points: np.ndarray, reference: PolyOperatorBasis
+    ) -> "DiscreteFeatureBasis":
+        """Orthonormalize ``reference``'s scalar features on the cloud ``points``."""
+        features = partial(reference.scalar_features, warn_extrapolation=False)
+        return cls(build_discrete_plan(points, features), reference)
+
+    @property
+    def d_out(self) -> int:
+        return self.reference.d_out
 
     @property
     def n_eff(self) -> int:
@@ -356,18 +365,8 @@ class DiscreteFeatureBasis:
         return self.n_eff * self.d_out
 
     def scalar_features(self, fhat: np.ndarray) -> np.ndarray:
-        """The plan's b-features at ``fhat``, as a fresh array."""
+        """The b-features ``phi(fhat) @ R^{-1}`` at ``fhat``, as a fresh array."""
         arr = np.asarray(fhat, dtype=float)
-        single = arr.ndim == 1
-        out = self.plan.b_features(arr, self.raw_features)
-        return out[0] if single else out
-
-
-def _same_map(f, g) -> bool:
-    # partial has no __eq__, and a bound method compares its instance by identity
-    if isinstance(f, partial) and isinstance(g, partial):
-        same_args = (f.args, f.keywords) == (g.args, g.keywords)
-        return same_args and _same_map(f.func, g.func)
-    if isinstance(f, MethodType) and isinstance(g, MethodType):
-        return f.__func__ is g.__func__ and f.__self__ == g.__self__
-    return f is g
+        phi = self.reference.scalar_features(arr, warn_extrapolation=False)
+        out = np.atleast_2d(phi) @ self.plan.transform_inverse
+        return out[0] if arr.ndim == 1 else out

@@ -23,7 +23,6 @@ from opwls.pde import BurgersConfig, build_dataset, greens_kernel, sine_modes_2d
 from opwls.sampling import (
     DiscreteFeatureBasis,
     RngSeed,
-    build_discrete_plan,
     build_induced_table,
     build_induced_tables,
     draw_induced,
@@ -291,13 +290,12 @@ def test_criterion_9_discrete_leverage_plan():
     checks = []
     fractions = {}
     for n_eff in (25, 50, 100):
-        ref = PolyOperatorBasis.build(measure, hyperbolic_prefix(d_in, n_eff), 1)
-        features = lambda x, _b=ref: _b.scalar_features(x, warn_extrapolation=False)
-        plan = build_discrete_plan(cloud, features)
+        ref = PolyOperatorBasis.build(measure, hyperbolic_prefix(d_in, n_eff), 4)
+        basis = DiscreteFeatureBasis.build(cloud, ref)
+        plan = basis.plan
         checks.append(abs(plan.probabilities.sum() - 1.0) <= 1e-12)
         b_gram = plan.b_values.T @ plan.b_values / s
         checks.append(np.abs(b_gram - np.eye(n_eff)).max() <= 1e-10)
-        basis = DiscreteFeatureBasis(plan=plan, raw_features=features, d_out=4)
         m = min_samples(n_eff, 0.5, 0.5)
         good = 0
         for trial in range(20):

@@ -17,7 +17,6 @@ from opwls.operator_basis import (
 from opwls.sampling import (
     DiscreteFeatureBasis,
     RngSeed,
-    build_discrete_plan,
     sample_monte_carlo,
 )
 
@@ -98,6 +97,12 @@ class TestScalarFeatures:
         linear = LinearRankOneBasis.from_measure(measure, [0, 1], 2)
         assert linear == LinearRankOneBasis.from_measure(measure, [0, 1], 2)
         assert linear != basis
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_build_rejects_index_width_other_than_measure(self, width):
+        measure = ProductMeasure.from_alphas([0.0, 1.0])
+        with pytest.raises(ValueError, match="one marginal per input mode"):
+            PolyOperatorBasis.build(measure, np.zeros((2, width), dtype=int), 1)
 
     def test_one_differing_index_compares_unequal(self):
         measure, basis = small_poly_basis()
@@ -263,9 +268,7 @@ def three_basis_kinds():
     measure, poly = small_poly_basis(d_out=2)
     linear = LinearRankOneBasis.from_measure(measure, [1, 0], d_out=2)
     cloud = np.random.default_rng(8).uniform(-1.0, 1.0, (40, 2))
-    plan = build_discrete_plan(cloud, poly.scalar_features)
-    discrete = DiscreteFeatureBasis(plan=plan, raw_features=poly.scalar_features,
-                                    d_out=2)
+    discrete = DiscreteFeatureBasis.build(cloud, poly)
     return [linear, poly, discrete]
 
 

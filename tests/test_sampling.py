@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -482,28 +481,32 @@ class TestSubstreams:
 
 class TestDiscretePlan:
     @staticmethod
-    def poly_features(d_in=3, radius=2.0, cap=4):
-        measure = ProductMeasure.from_alphas([0.0] * d_in)
+    def poly_reference(d_in=3, radius=2.0, d_out=1, alpha=0.0):
+        measure = ProductMeasure.from_alphas([alpha] * d_in)
         spec = IndexSetSpec(kind="lp_ball", p=1.0, radius=radius,
-                            gamma=np.ones(d_in), degree_cap=cap)
-        basis = PolyOperatorBasis.build(measure, generate(spec), 1)
-        return measure, lambda x: basis.scalar_features(x, warn_extrapolation=False)
+                            gamma=np.ones(d_in), degree_cap=4)
+        return PolyOperatorBasis.build(measure, generate(spec), d_out)
+
+    @staticmethod
+    def poly_features(d_in=3, radius=2.0):
+        basis = TestDiscretePlan.poly_reference(d_in, radius)
+        return lambda x: basis.scalar_features(x, warn_extrapolation=False)
 
     def test_probabilities_sum_to_one(self, rng):
-        _, features = self.poly_features()
+        features = self.poly_features()
         cloud = rng.uniform(-1, 1, (60, 3))
         plan = build_discrete_plan(cloud, features)
         assert plan.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(plan.probabilities >= 0.0)
 
     def test_b_features_orthonormal_on_cloud(self, rng):
-        _, features = self.poly_features()
         cloud = rng.uniform(-1, 1, (80, 3))
-        plan = build_discrete_plan(cloud, features)
+        basis = self.cloud_basis(cloud)
+        plan = basis.plan
         gram = plan.b_values.T @ plan.b_values / plan.n_points
         assert np.abs(gram - np.eye(plan.n_eff)).max() <= 1e-10
         # out-of-sample evaluation agrees with the stored cloud values
-        recomputed = plan.b_features(cloud, features)
+        recomputed = basis.scalar_features(cloud)
         assert np.abs(recomputed - plan.b_values).max() <= 1e-9
 
     def test_already_orthonormal_cloud_is_uniform(self, rng):
@@ -518,7 +521,7 @@ class TestDiscretePlan:
         assert plan.probabilities == pytest.approx(brute, abs=1e-14)
 
     def test_leverage_invariant_under_reparameterization(self, rng):
-        _, features = self.poly_features()
+        features = self.poly_features()
         cloud = rng.uniform(-1, 1, (70, 3))
         base = build_discrete_plan(cloud, features)
         mix = rng.normal(size=(base.n_eff, base.n_eff))
@@ -531,16 +534,15 @@ class TestDiscretePlan:
     def test_b_features_match_triangular_solve(self, rng):
         from scipy.linalg import solve_triangular
 
-        _, features = self.poly_features()
-        cloud = rng.uniform(-1, 1, (80, 3))
-        plan = build_discrete_plan(cloud, features)
+        basis = self.cloud_basis(rng.uniform(-1, 1, (80, 3)))
         x = rng.uniform(-1, 1, (50, 3))
-        expected = solve_triangular(plan.transform.T, features(x).T, lower=True).T
-        got = plan.b_features(x, features)
+        phi = basis.reference.scalar_features(x)
+        expected = solve_triangular(basis.plan.transform.T, phi.T, lower=True).T
+        got = basis.scalar_features(x)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_plans_from_separate_calls_compare_equal(self, rng):
-        _, features = self.poly_features()
+        features = self.poly_features()
         cloud = rng.uniform(-1, 1, (60, 3))
         plan = build_discrete_plan(cloud, features)
         assert plan == build_discrete_plan(cloud.copy(), features)
@@ -558,25 +560,23 @@ class TestDiscretePlan:
     @staticmethod
     def cloud_basis(cloud, d_out=2):
         # built as experiments.discrete_spec builds it
-        measure = ProductMeasure.from_alphas([0.0] * 3)
-        spec = IndexSetSpec(kind="lp_ball", p=1.0, radius=2.0,
-                            gamma=np.ones(3), degree_cap=4)
-        ref = PolyOperatorBasis.build(measure, generate(spec), d_out)
-        features = partial(ref.scalar_features, warn_extrapolation=False)
-        plan = build_discrete_plan(cloud, features)
-        return DiscreteFeatureBasis(plan=plan, raw_features=features, d_out=d_out)
+        reference = TestDiscretePlan.poly_reference(d_out=d_out)
+        return DiscreteFeatureBasis.build(cloud, reference)
 
     def test_feature_bases_from_separate_calls_compare_equal(self, rng):
         cloud = rng.uniform(-1, 1, (60, 3))
         basis = self.cloud_basis(cloud)
         assert basis == self.cloud_basis(cloud.copy())
-        assert basis != replace(basis, d_out=3)
+        wider = self.cloud_basis(cloud, d_out=3)
+        assert wider.plan == basis.plan and wider.d_out == 3
+        assert basis != wider
         assert basis != self.cloud_basis(rng.uniform(-1, 1, (60, 3)))
-        assert basis != replace(basis, raw_features=lambda x: basis.raw_features(x))
+        other = self.poly_reference(d_out=2, alpha=1.0)
+        assert basis != replace(basis, reference=other)
         assert basis != "basis"
 
     def test_too_few_points_rejected(self, rng):
-        _, features = self.poly_features()
+        features = self.poly_features()
         with pytest.raises(ValueError):
             build_discrete_plan(rng.uniform(-1, 1, (3, 3)), features)
 
@@ -589,7 +589,7 @@ class TestSampleDiscrete:
         assert np.all(idx == 0) and np.all(w == pytest.approx(1.0))
 
     def test_empirical_frequencies(self, rng):
-        _, features = TestDiscretePlan.poly_features(d_in=2, radius=2.0)
+        features = TestDiscretePlan.poly_features(d_in=2, radius=2.0)
         cloud = rng.uniform(-1, 1, (12, 2))
         plan = build_discrete_plan(cloud, features)
         n = 100_000
@@ -601,10 +601,10 @@ class TestSampleDiscrete:
     def test_gram_concentration_under_leverage_sampling(self, rng):
         # Cor. OptStab on the discrete measure: spectral gap <= 1/2 with
         # failure rate <= 10% over 20 trials at the certified sample size
-        _, features = TestDiscretePlan.poly_features(d_in=3, radius=3.0)
         cloud = rng.uniform(-1, 1, (400, 3))
-        plan = build_discrete_plan(cloud, features)
-        basis = DiscreteFeatureBasis(plan=plan, raw_features=features, d_out=1)
+        reference = TestDiscretePlan.poly_reference(d_in=3, radius=3.0)
+        basis = DiscreteFeatureBasis.build(cloud, reference)
+        plan = basis.plan
         m = min_samples(plan.n_eff, 0.5, 0.5)
         failures = 0
         for trial in range(20):
