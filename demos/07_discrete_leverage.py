@@ -9,6 +9,7 @@ scales the fit must resolve.
 import numpy as np
 
 from opwls import (
+    DiscreteFeatureBasis,
     IndexSetSpec,
     PolyOperatorBasis,
     ProductMeasure,
@@ -23,7 +24,6 @@ from opwls import (
     solve,
 )
 from opwls.experiments import demo_target, synthetic_cloud
-from opwls.sampling import DiscreteFeatureBasis
 
 d_in, d_out, s = 6, 12, 2000
 measure = ProductMeasure.from_alphas((np.arange(1, d_in + 1) ** 2).astype(float))

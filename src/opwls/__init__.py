@@ -17,6 +17,8 @@ holds numpy's OpenBLAS to one thread.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .evaluation import (
     ErrorReport,
     SobolevWeighting,
@@ -53,11 +55,11 @@ from .pde import (
     sine_modes_2d,
 )
 from .sampling import (
+    DiscreteFeatureBasis,
     DiscretePlan,
     MixturePlan,
     RngSeed,
     build_discrete_plan,
-    build_induced_table,
     build_induced_tables,
     draw_induced,
     mixture_plan,
@@ -78,4 +80,8 @@ from .wls import (
     truncate_output,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every imported name; the submodules they come from are not API
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

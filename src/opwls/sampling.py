@@ -29,10 +29,9 @@ A measure known only through a point cloud has one basis per cloud:
 keeps the plan and the reference, which both compare by value; leverage
 draws are :func:`sample_discrete` on its ``plan``.
 
-Randomness is counter based (Philox).  Sample ``i`` of a batch owns a fixed
-block of uniforms that any worker can regenerate by advancing the counter,
-so results are bitwise reproducible regardless of how samples are
-distributed over workers.
+Randomness is counter based (Philox).  Sample ``i`` of a batch owns row
+``i`` of a block of uniforms of fixed padded width, so sample ``i`` of a
+draw of ``n`` is the same for every ``n > i``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import numpy as np
 from .measures import (
     ProductMeasure,
     QuadratureRule,
-    UnivariateMeasure,
     cumulative,
     default_quadrature_order,
     fields_equal,
@@ -58,7 +56,6 @@ __all__ = [
     "MixturePlan",
     "DiscretePlan",
     "DiscreteFeatureBasis",
-    "build_induced_table",
     "build_induced_tables",
     "draw_induced",
     "mixture_plan",
@@ -70,54 +67,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Counter-based random stream with per-sample substreams.
+    """Counter-based random stream.
 
-    Uniforms are consumed in rows of a fixed padded width (a multiple of the
-    Philox block of four doubles), so row ``i`` can be regenerated in
-    isolation by advancing the counter -- the basis of worker-count
-    independence.  Same seed, same draw sequence.
+    Uniforms are consumed in rows of a padded width, a multiple of the Philox
+    block of four doubles; every recorded draw was made at that width.  Row
+    ``i`` of a block does not depend on how many rows follow it.  Same seed,
+    same draw sequence.
     """
 
     seed: int
 
-    def _padded(self, row_width: int) -> int:
-        return 4 * ((row_width + 3) // 4)
-
     def uniform_block(self, n_rows: int, row_width: int) -> np.ndarray:
         """Uniforms for ``n_rows`` samples, ``row_width`` per sample."""
-        padded = self._padded(row_width)
         gen = np.random.Generator(np.random.Philox(key=self.seed))
-        return gen.random((n_rows, padded))[:, :row_width]
-
-    def substream(self, row: int, row_width: int) -> np.ndarray:
-        """Regenerate the uniforms of sample ``row`` alone."""
-        padded = self._padded(row_width)
-        bit_gen = np.random.Philox(key=self.seed)
-        bit_gen.advance(row * (padded // 4))
-        return np.random.Generator(bit_gen).random(padded)[:row_width]
-
-
-def build_induced_table(
-    measure: UnivariateMeasure, degrees, order: int | None = None
-) -> QuadratureRule:
-    """The Gauss rule of ``order`` whose ``cdf`` holds the induced laws of
-    ``degrees``, and of every lower degree too.
-
-    The default order is ``default_quadrature_order(max(top, 1))`` for the
-    top degree ``top``; an order below ``top + 1`` holds no law of degree
-    ``top`` and raises, as do an empty and a negative degree.
-    """
-    degrees = sorted(map(int, degrees))
-    if not degrees:
-        raise ValueError("no induced degree given")
-    if degrees[0] < 0:
-        raise ValueError(f"induced degree {degrees[0]} is negative")
-    top = degrees[-1]
-    if order is None:
-        order = default_quadrature_order(max(top, 1))
-    if order < top + 1:
-        raise ValueError(f"order {order} too small for induced degree {top}")
-    return gauss_rule(measure, order)
+        return gen.random((n_rows, 4 * ((row_width + 3) // 4)))[:, :row_width]
 
 
 def _invert(column: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -196,7 +159,7 @@ def build_induced_tables(
     plan = _base_plan(len(measure)) if basis is None else mixture_plan(basis)
     tops = plan.components.max(axis=0).tolist()
     return {
-        j: build_induced_table(marginal, [top])
+        j: gauss_rule(marginal, default_quadrature_order(max(top, 1)))
         for j, (marginal, top) in enumerate(zip(measure.marginals, tops))
     }
 

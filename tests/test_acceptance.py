@@ -17,13 +17,17 @@ import conftest
 from opwls.evaluation import empirical_bochner_error, operator_matrix_view, reconstruct_kernel
 from opwls.experiments import derive_seed, synthetic_cloud
 from opwls.index_sets import IndexSetSpec, generate
-from opwls.measures import ProductMeasure, UnivariateMeasure
+from opwls.measures import (
+    ProductMeasure,
+    UnivariateMeasure,
+    default_quadrature_order,
+    gauss_rule,
+)
 from opwls.operator_basis import LinearRankOneBasis, PolyOperatorBasis
 from opwls.pde import BurgersConfig, build_dataset, greens_kernel, sine_modes_2d
 from opwls.sampling import (
     DiscreteFeatureBasis,
     RngSeed,
-    build_induced_table,
     build_induced_tables,
     draw_induced,
     mixture_plan,
@@ -259,7 +263,7 @@ def test_criterion_8_induced_sampler_fidelity():
     degree_zero_exact = True
     for alpha in (0.0, 1.0, 2.0):
         marginal = UnivariateMeasure(alpha)
-        table = build_induced_table(marginal, {0, 1, 2, 3})
+        table = gauss_rule(marginal, default_quadrature_order(3))
         degree_zero_exact &= bool(
             np.abs(table.cdf[0] - np.cumsum(table.weights)).max() <= 1e-14
         )

@@ -1,5 +1,6 @@
 """The public names that the benchmark harness and the README example call,
-and the packages that the suite, the harness and the demos need installed.
+the packages that the suite, the harness and the demos need installed, and
+the one place the version is set.
 
 ``perfbench/run.py`` loads every name in ``opwls.__all__`` and the workloads
 call the ones below; a name cut from the API would make every unit of a
@@ -13,9 +14,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import opwls
 from opwls import cli, experiments
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CALLED_NAMES = [
     "ProductMeasure",
@@ -42,6 +46,14 @@ def test_called_names_are_exported():
     assert not missing
     assert callable(experiments.demo_target)
     assert callable(cli.main)
+
+
+def test_all_holds_the_imported_names_not_submodules():
+    # `from opwls import *` binds __all__: a submodule there is not API
+    modules = [name for name in opwls.__all__
+               if isinstance(getattr(opwls, name), ModuleType)]
+    assert modules == []
+    assert "DiscreteFeatureBasis" in opwls.__all__
 
 
 def test_cli_import_loads_no_scipy_linalg_or_fft():
@@ -73,13 +85,28 @@ def imported_packages(path: Path) -> set[str]:
     return names
 
 
+def read_pyproject() -> dict:
+    """pyproject.toml, parsed; pytest installs tomli where tomllib is not in
+    the standard library (3.10)."""
+    toml = importlib.import_module("tomli" if sys.version_info < (3, 11) else "tomllib")
+    return toml.loads((ROOT / "pyproject.toml").read_text())
+
+
+def test_version_has_one_home():
+    # pip metadata reads the version from opwls.__version__, the string that
+    # manifest.json and the benchmark record, so the two cannot drift
+    config = read_pyproject()
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "opwls.__version__"
+    }
+
+
 def test_test_extra_covers_every_third_party_import():
     # CI installs only `pip install -e ".[test]"`: a package imported here but
-    # missing from the extra fails collection on a clean machine.  pytest
-    # installs tomli where tomllib is not in the standard library (3.10).
-    root = Path(__file__).resolve().parents[1]
-    toml = importlib.import_module("tomli" if sys.version_info < (3, 11) else "tomllib")
-    project = toml.loads((root / "pyproject.toml").read_text())["project"]
+    # missing from the extra fails collection on a clean machine
+    project = read_pyproject()["project"]
     extra = {
         re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
         for requirement in project["optional-dependencies"]["test"]
@@ -87,7 +114,7 @@ def test_test_extra_covers_every_third_party_import():
     imported = set().union(*(
         imported_packages(path)
         for folder in ("tests", "perfbench", "demos")
-        for path in sorted((root / folder).rglob("*.py"))
+        for path in sorted((ROOT / folder).rglob("*.py"))
     ))
     assert {"numpy", "pytest", "opwls"} <= imported
     third_party = imported - set(sys.stdlib_module_names) - LOCAL_MODULES

@@ -20,7 +20,6 @@ from opwls.sampling import (
     MixturePlan,
     RngSeed,
     build_discrete_plan,
-    build_induced_table,
     build_induced_tables,
     draw_induced,
     mixture_plan,
@@ -53,30 +52,23 @@ def table_moment(table, degree, power):
 class TestInducedTable:
     def test_degree_zero_is_cumulated_base_weights(self):
         marginal = UnivariateMeasure(0.0)
-        table = build_induced_table(marginal, {0, 1, 2}, order=9)
-        rule = gauss_rule(marginal, 9)
-        assert np.allclose(table.cdf[0], np.cumsum(rule.weights), atol=1e-14)
-        assert np.array_equal(table.nodes, rule.nodes)
+        table = gauss_rule(marginal, 9)
+        assert np.allclose(table.cdf[0], np.cumsum(table.weights), atol=1e-14)
 
     def test_uniform_degree_one_two_point_masses(self):
         # w = 1/2 and p_1(+-1/sqrt 3)^2 = 3 * (1/3) = 1: masses 1/2 each
         marginal = UnivariateMeasure(0.0)
-        table = build_induced_table(marginal, {1}, order=2)
+        table = gauss_rule(marginal, 2)
         masses = np.diff(table.cdf[1], prepend=0.0)
         assert masses == pytest.approx([0.5, 0.5], abs=1e-14)
 
     def test_columns_end_at_one(self):
         marginal = UnivariateMeasure(2.0)
-        table = build_induced_table(marginal, range(7), order=16)
+        table = gauss_rule(marginal, 16)
         assert table.cdf.shape == (16, 16)
         for column in table.cdf:
             assert column[-1] == 1.0
             assert np.all(np.diff(column) >= -1e-15)
-
-    def test_insufficient_order_rejected(self):
-        marginal = UnivariateMeasure(0.0)
-        with pytest.raises(ValueError):
-            build_induced_table(marginal, {5}, order=5)
 
     def test_rows_match_cumulated_masses_over_their_sums_bitwise(self):
         alphas = np.concatenate([np.linspace(-0.9, 10.0, 40),
@@ -84,7 +76,7 @@ class TestInducedTable:
         for alpha in alphas.tolist():
             marginal = UnivariateMeasure(alpha)
             for top in range(11):
-                rule = build_induced_table(marginal, [top])
+                rule = gauss_rule(marginal, default_quadrature_order(max(top, 1)))
                 masses = rule.weights * np.square(rule.values[: top + 1])
                 reference = np.cumsum(masses / masses.sum(axis=1)[:, None], axis=1)
                 reference[:, -1] = 1.0
@@ -104,7 +96,7 @@ class TestInducedTable:
         assert [len(marginal._rules) for marginal in measure.marginals] == counts
 
     def test_cdf_is_computed_once_and_read_only(self):
-        rule = build_induced_table(UnivariateMeasure(1.0), [3])
+        rule = gauss_rule(UnivariateMeasure(1.0), default_quadrature_order(3))
         assert rule.cdf is rule.cdf
         assert not rule.cdf.flags.writeable
         with pytest.raises(ValueError):
@@ -114,10 +106,7 @@ class TestInducedTable:
 @pytest.mark.parametrize("call, message", [
     (lambda m: poly_table(m, -1, 0.5), "degree must be >= 0, got -1"),
     (lambda m: eval_poly(m, -1, 0.5), "degree must be >= 0, got -1"),
-    (lambda m: build_induced_table(m, []), "no induced degree"),
-    (lambda m: build_induced_table(m, [-2]), "induced degree -2 is negative"),
-    (lambda m: build_induced_table(m, [3, -2]), "induced degree -2 is negative"),
-], ids=["poly_table", "eval_poly", "no_degree", "negative", "negative_among"])
+], ids=["poly_table", "eval_poly"])
 def test_bad_degree_is_named(call, message):
     with pytest.raises(ValueError, match=message):
         call(UnivariateMeasure(0.0))
@@ -126,13 +115,13 @@ def test_bad_degree_is_named(call, message):
 class TestUnivariateDraws:
     def test_u_zero_gives_first_node(self):
         marginal = UnivariateMeasure(0.0)
-        table = build_induced_table(marginal, {0, 1}, order=5)
+        table = gauss_rule(marginal, 5)
         assert draw_induced(table, 0, FixedUniforms()) == table.nodes[0]
 
     def test_base_moments(self):
         alpha = 1.0
         marginal = UnivariateMeasure(alpha)
-        table = build_induced_table(marginal, {0}, order=10)
+        table = gauss_rule(marginal, 10)
         n = 100_000
         draws = draw_induced(table, 0, RngSeed(5), size=n)
         assert_within_se(draws.mean(), 0.0, draws.std() / math.sqrt(n))
@@ -142,15 +131,14 @@ class TestUnivariateDraws:
     def test_degree_zero_equals_base(self):
         # inverse transform of the Gauss rule's cumulative weights
         marginal = UnivariateMeasure(0.5)
-        table = build_induced_table(marginal, {0, 1}, order=8)
-        rule = gauss_rule(marginal, 8)
+        table = gauss_rule(marginal, 8)
         u = RngSeed(9).uniform_block(500, 1)[:, 0]
-        base = rule.nodes[np.searchsorted(np.cumsum(rule.weights), u)]
+        base = table.nodes[np.searchsorted(np.cumsum(table.weights), u)]
         assert np.array_equal(draw_induced(table, 0, RngSeed(9), size=500), base)
 
     def test_uniform_degree_one_two_point_frequencies(self):
         marginal = UnivariateMeasure(0.0)
-        table = build_induced_table(marginal, {1}, order=2)
+        table = gauss_rule(marginal, 2)
         n = 100_000
         draws = draw_induced(table, 1, RngSeed(17), size=n)
         freq = np.mean(draws > 0)
@@ -159,7 +147,7 @@ class TestUnivariateDraws:
     def test_degree_one_second_moment_closed_form(self):
         # oracle: integral of x^2 * 3 x^2 / 2 over [-1, 1] is 3/5
         marginal = UnivariateMeasure(0.0)
-        table = build_induced_table(marginal, {1}, order=4)
+        table = gauss_rule(marginal, 4)
         assert table_moment(table, 1, 2) == pytest.approx(0.6, abs=1e-12)
         n = 100_000
         draws = draw_induced(table, 1, RngSeed(23), size=n)
@@ -168,7 +156,7 @@ class TestUnivariateDraws:
 
     def test_unknown_degree_rejected(self):
         marginal = UnivariateMeasure(0.0)
-        table = build_induced_table(marginal, {0}, order=4)
+        table = gauss_rule(marginal, 4)
         with pytest.raises(KeyError):
             draw_induced(table, 4, RngSeed(1))
 
@@ -467,11 +455,13 @@ class TestBoundaryDraws:
 
 
 class TestSubstreams:
-    def test_substream_matches_block_rows(self):
+    """Sample ``i`` owns row ``i`` of the uniform block."""
+
+    def test_rows_do_not_depend_on_block_length(self):
         rng = RngSeed(12345)
-        block = rng.uniform_block(64, 9)
-        for row in (0, 1, 17, 63):
-            assert np.array_equal(rng.substream(row, 9), block[row])
+        block = rng.uniform_block(50, 9)
+        for k in (0, 1, 7, 49):
+            assert np.array_equal(rng.uniform_block(k, 9), block[:k])
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(
